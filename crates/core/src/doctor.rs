@@ -10,15 +10,17 @@
 //! recompile), but tolerance is silent.  The doctor makes the debris
 //! visible and, with `--fix`, removes it:
 //!
-//! | state               | audit                                   | repair                         |
-//! |---------------------|-----------------------------------------|--------------------------------|
-//! | `stamps.json`       | magic + digest + decode                 | delete (stamps are hints)      |
-//! | `bins.pack`         | index decode, per-body digest           | rewrite keeping valid bodies   |
-//! | `deps.pack`         | magic + digest + structural decode      | delete (re-derived next build) |
-//! | `builds.jsonl`      | [`Ledger::audit`]                       | [`Ledger::compact_valid`]      |
-//! | CAS store           | [`Store::verify`] + `tmp/` litter scan  | quarantine + sweep litter      |
-//! | daemon sock + lock  | lockfile pid liveness                   | remove stale sock + lock       |
-//! | bin-dir tmp litter  | [`fsutil::is_tmp_litter`] names         | delete                         |
+//! | state                 | audit                                  | repair                         |
+//! |-----------------------|----------------------------------------|--------------------------------|
+//! | `stamps.json`         | magic + digest + decode                | delete (stamps are hints)      |
+//! | `bins.pack`           | index decode, per-body digest          | rewrite keeping valid bodies   |
+//! | `bins-<digest>.delta` | as `bins.pack`, when bound to it       | fold into one compacted base   |
+//! | stale delta           | bound to no current base               | delete                         |
+//! | `deps.pack`           | magic + digest + structural decode     | delete (re-derived next build) |
+//! | `builds.jsonl`        | [`Ledger::audit`]                      | [`Ledger::compact_valid`]      |
+//! | CAS store             | [`Store::verify`] + `tmp/` litter scan | quarantine + sweep litter      |
+//! | daemon sock + lock    | lockfile pid liveness                  | remove stale sock + lock       |
+//! | bin-dir tmp litter    | [`fsutil::is_tmp_litter`] names        | delete                         |
 //!
 //! The store audit *is* [`Store::verify`] — the same implementation
 //! behind `smlsc cache verify` — so the two commands can never
@@ -32,13 +34,14 @@
 //! fully repaired, `4` issues found without `--fix`, `3` a repair
 //! failed.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use serde::Serialize;
 
 use crate::ledger::Ledger;
-use crate::pack::{PackReader, PackWriter, PACK_FILE};
+use crate::pack::{self, PackEntry, PackReader, PackWriter, PACK_FILE};
 use crate::stamps::StampCache;
 use crate::{fsutil, CoreError};
 use smlsc_store::Store;
@@ -239,14 +242,17 @@ fn audit_stamps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     }
 }
 
-/// An unreadable pack index is quarantined aside (`.corrupt`); a pack
-/// whose index is fine but with bodies failing their digests is
-/// rewritten keeping only the valid entries, so the next build
+/// The archive is the base `bins.pack` plus at most one delta bound to
+/// it.  An unreadable base is quarantined aside (`.corrupt`).  A delta
+/// bound to no current base is stale and deleted.  When any body of
+/// the base or its delta fails its digest, or the delta itself is
+/// unreadable, the two are folded into one compacted base keeping every
+/// valid body (a delta body shadows the base's), so the next build
 /// recompiles exactly the lost units.
 fn audit_pack(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     let path = bin_dir.join(PACK_FILE);
-    match PackReader::open(&path) {
-        Ok(None) => {}
+    let base = match PackReader::open(&path) {
+        Ok(base) => base,
         Err(e) => {
             let f = finding(
                 "pack",
@@ -258,38 +264,85 @@ fn audit_pack(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
                 std::fs::rename(&path, path.with_extension("pack.corrupt"))
                     .map_err(|e| e.to_string())
             }));
+            None
         }
-        Ok(Some(reader)) => {
-            let mut bad = Vec::new();
-            let mut good = Vec::new();
-            for entry in reader.entries() {
-                match reader.read_body(entry.offset, entry.len, entry.digest) {
-                    Ok(body) => good.push((entry.clone(), body)),
-                    Err(detail) => bad.push((entry.name, detail)),
-                }
-            }
-            if bad.is_empty() {
-                return;
-            }
-            let issue = format!(
-                "{} of {} bodies fail digest verification: {}",
-                bad.len(),
-                reader.entries().len(),
-                bad.iter()
-                    .map(|(n, _)| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+    };
+    let live_delta = base.as_ref().map(|b| pack::delta_path(bin_dir, b));
+    for stale in pack::delta_files(bin_dir) {
+        if Some(&stale) != live_delta.as_ref() {
             let f = finding(
                 "pack",
-                &path,
-                issue,
-                format!("rewrite pack keeping {} valid bodies", good.len()),
+                &stale,
+                "stale delta: bound to no current base",
+                "delete",
             );
             findings.push(apply_fix(f, fix, || {
-                rewrite_pack(&path, &good).map_err(|e| e.to_string())
+                std::fs::remove_file(&stale).map_err(|e| e.to_string())
             }));
         }
+    }
+    let (Some(base), Some(delta_path)) = (base, live_delta) else {
+        return;
+    };
+    let mut issues = Vec::new();
+    let mut good = BTreeMap::new();
+    verify_bodies("base", &base, &mut good, &mut issues);
+    match PackReader::open(&delta_path) {
+        Ok(None) => {}
+        Ok(Some(delta)) => verify_bodies("delta", &delta, &mut good, &mut issues),
+        Err(e) => issues.push(format!("unreadable delta: {e}")),
+    }
+    if issues.is_empty() {
+        return;
+    }
+    let f = finding(
+        "pack",
+        &path,
+        issues.join("; "),
+        format!(
+            "compact base and delta into one pack keeping {} valid bodies",
+            good.len()
+        ),
+    );
+    findings.push(apply_fix(f, fix, || {
+        rewrite_pack(&path, good.values()).map_err(|e| e.to_string())?;
+        match std::fs::remove_file(&delta_path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.to_string()),
+            _ => Ok(()),
+        }
+    }));
+}
+
+/// Digest-checks every body of `pack` into `good`, keyed by unit name:
+/// a valid body replaces the entry of the same name, an invalid one
+/// removes it (the unit's newest body is lost) and is named in
+/// `issues`.
+fn verify_bodies(
+    which: &str,
+    pack: &PackReader,
+    good: &mut BTreeMap<String, (PackEntry, Vec<u8>)>,
+    issues: &mut Vec<String>,
+) {
+    let mut bad = Vec::new();
+    for entry in pack.entries() {
+        let name = entry.name.to_string();
+        match pack.read_body(entry.offset, entry.len, entry.digest) {
+            Ok(body) => {
+                good.insert(name, (entry.clone(), body));
+            }
+            Err(_) => {
+                good.remove(&name);
+                bad.push(name);
+            }
+        }
+    }
+    if !bad.is_empty() {
+        issues.push(format!(
+            "{which}: {} of {} bodies fail digest verification: {}",
+            bad.len(),
+            pack.entries().len(),
+            bad.join(", ")
+        ));
     }
 }
 
@@ -314,7 +367,10 @@ fn audit_deps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     }
 }
 
-fn rewrite_pack(path: &Path, good: &[(crate::pack::PackEntry, Vec<u8>)]) -> Result<(), CoreError> {
+fn rewrite_pack<'a>(
+    path: &Path,
+    good: impl Iterator<Item = &'a (PackEntry, Vec<u8>)>,
+) -> Result<(), CoreError> {
     let mut w = PackWriter::create(path)?;
     for (entry, body) in good {
         w.add(&entry.meta(), body, entry.digest)?;

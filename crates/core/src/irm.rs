@@ -86,7 +86,10 @@ use smlsc_trace::{self as trace, names, RebuildDecision};
 use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
 use crate::depgraph::{self, DepGraph};
 use crate::link::{link_and_execute, DynEnv};
-use crate::pack::{PackReader, PackWriter, PACK_FILE, PACK_VERSION};
+use crate::pack::{
+    self, delta_file_name, entry_len_bound, is_delta_file_name, PackReader, PackWriter,
+    DELTA_CAP_DIVISOR, EMPTY_PACK_LEN, PACK_FILE, PACK_VERSION,
+};
 use crate::stamps::{StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
 use crate::CoreError;
@@ -642,12 +645,24 @@ impl BinEntry {
         }
     }
 
-    /// The full bin if it is already in memory — never forces.
-    fn forced(&self) -> Option<&BinFile> {
-        match &self.body {
-            BinBody::Resident(bin) => Some(bin),
-            BinBody::Lazy { cell, .. } => cell.get().and_then(|r| r.as_ref().ok()),
+    /// The body's bytes as a pack stores them, with their digest.  A
+    /// body still in a current-format pack is copied raw and keeps the
+    /// digest it was just verified against; anything else (a fresh
+    /// compile, or a legacy-format body) is serialized and digested.
+    fn body_bytes(&self) -> Result<(Vec<u8>, Pid), CoreError> {
+        if let BinBody::Lazy { src, .. } = &self.body {
+            if src.pack.version() == PACK_VERSION {
+                let unit = self.meta.name;
+                let bytes = src
+                    .pack
+                    .read_body(src.offset, src.len, src.digest)
+                    .map_err(|detail| CoreError::BinBodyCorrupt { unit, detail })?;
+                return Ok((bytes, src.digest));
+            }
         }
+        let bytes = self.force()?.to_bytes();
+        let digest = Pid::of_bytes(&bytes);
+        Ok((bytes, digest))
     }
 }
 
@@ -670,10 +685,15 @@ pub struct Irm {
     /// Units whose in-memory bin differs (or may differ) from what
     /// `save_bins` last persisted; everything else skips its write.
     dirty: HashSet<Symbol>,
-    /// The pack file the current `bins` map was loaded from, if any.
-    pack_path: Option<PathBuf>,
-    /// True while `bins` is byte-equivalent to `pack_path`'s contents,
-    /// letting a no-op save skip rewriting the archive entirely.
+    /// The base `bins.pack` that `bins` is layered over, when every
+    /// bin is either in it, in its delta (`delta_units`), or dirty.
+    /// `None` makes the next save write a full base.
+    base: Option<PackBase>,
+    /// Units whose persisted body lives in the base's delta rather than
+    /// in the base itself.
+    delta_units: HashSet<Symbol>,
+    /// True while `bins` is byte-equivalent to the base plus its delta
+    /// on disk, letting a no-op save skip writing entirely.
     pack_synced: bool,
     /// The resolved import DAG from the previous build or the
     /// `deps.pack` sidecar.  Never trusted blindly: every build
@@ -684,6 +704,16 @@ pub struct Irm {
     /// True while `graph` matches what `deps.pack` on disk holds,
     /// letting a no-op save skip rewriting the sidecar.
     graph_synced: bool,
+}
+
+/// The on-disk base pack a bin map is layered over.
+#[derive(Debug, Clone)]
+struct PackBase {
+    path: PathBuf,
+    /// The base's index digest, which names its delta.
+    index_digest: Pid,
+    /// The base's length, which caps its delta.
+    len: u64,
 }
 
 /// The per-file analysis record — digests plus import/export lists.
@@ -840,6 +870,8 @@ impl Irm {
         self.bins.clear();
         self.deps_cache.clear();
         self.dirty.clear();
+        self.base = None;
+        self.delta_units.clear();
         self.pack_synced = false;
     }
 
@@ -894,20 +926,30 @@ impl Irm {
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
             trace::event("irm.bin_body_quarantined").field("unit", name.as_str());
             self.dirty.remove(&name);
+            // The unit's body is still on disk; only a full rewrite
+            // drops it, so the next save compacts.
+            self.base = None;
+            self.delta_units.remove(&name);
             self.pack_synced = false;
         }
         had
     }
 
-    /// Persists every bin under `dir` as one indexed archive,
-    /// `bins.pack`, and deletes any legacy per-unit `*.bin` files it
-    /// replaces (the migration path).
+    /// Persists every bin under `dir` as the indexed archive: the base
+    /// `bins.pack` plus at most one delta pack bound to it (see
+    /// [`crate::pack`]).
     ///
-    /// The archive is staged to a temp file and `rename(2)`d into place,
-    /// so a crash mid-save can never tear it.  When nothing changed
-    /// since the pack was loaded, the save is a complete no-op.  Bodies
-    /// that are still lazy (never forced this session) are copied
-    /// byte-for-byte from the old archive without parsing.
+    /// A save normally writes only a new delta, holding every unit whose
+    /// body is not in the base, so its cost follows the edit rather than
+    /// the project.  It compacts instead, rewriting the base in full and
+    /// removing the delta, when there is no current-format base to layer
+    /// over (cold, legacy or corrupt), when a unit was quarantined, or
+    /// when the delta would exceed 1/[`DELTA_CAP_DIVISOR`] of the base.
+    /// Either file is staged to a temp file and `rename(2)`d into place,
+    /// so a crash mid-save can never tear what a load sees.  When nothing
+    /// changed since the pack was loaded or last saved, the save is a
+    /// complete no-op.  Bodies still in a pack are copied byte-for-byte
+    /// without parsing, under the digest they were just verified against.
     ///
     /// # Errors
     ///
@@ -915,108 +957,117 @@ impl Irm {
     pub fn save_bins(&mut self, dir: &Path) -> Result<(), CoreError> {
         let _span = trace::span("irm.save_bins").field("bins", self.bins.len());
         let pack_path = dir.join(PACK_FILE);
-        if self.dirty.is_empty()
-            && self.pack_synced
-            && self.pack_path.as_deref() == Some(&pack_path)
-            && pack_path.is_file()
-        {
+        let base = self
+            .base
+            .clone()
+            .filter(|b| b.path == pack_path && pack_path.is_file());
+        if self.dirty.is_empty() && self.pack_synced && base.is_some() {
             // The archive stands; the import-DAG sidecar may still need
             // its first write (e.g. a warm build over a pre-sidecar
             // cache directory).
-            self.save_deps(dir)?;
-            return Ok(());
+            return self.save_deps(dir);
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
+        let layered = match &base {
+            Some(base) => self.save_delta(dir, base)?,
+            None => false,
+        };
+        if !layered {
+            self.compact(dir, &pack_path)?;
+        }
+        self.dirty.clear();
+        self.pack_synced = true;
+        self.save_deps(dir)
+    }
+
+    /// Writes the delta bound to `base`: every unit whose body is not in
+    /// the base.  Returns `false`, having written nothing, when the delta
+    /// would exceed its cap or a carried-over body fails verification;
+    /// the caller then compacts.
+    fn save_delta(&mut self, dir: &Path, base: &PackBase) -> Result<bool, CoreError> {
+        let mut units: Vec<Symbol> = self
+            .delta_units
+            .union(&self.dirty)
+            .copied()
+            .filter(|n| self.bins.contains_key(n))
+            .collect();
+        units.sort_by_key(|n| n.as_str());
+        let cap = base.len / DELTA_CAP_DIVISOR;
+        let mut bound = EMPTY_PACK_LEN;
+        let mut bodies = Vec::with_capacity(units.len());
+        for name in &units {
+            let entry = &self.bins[name];
+            let Ok(body) = entry.body_bytes() else {
+                return Ok(false);
+            };
+            bound += entry_len_bound(&entry.meta, body.0.len() as u64);
+            if bound > cap {
+                return Ok(false);
+            }
+            bodies.push(body);
+        }
+        let delta_path = dir.join(delta_file_name(base.index_digest));
+        let keep = if units.is_empty() {
+            None
+        } else {
+            let mut writer = PackWriter::create(&delta_path)?;
+            for (name, (bytes, digest)) in units.iter().zip(&bodies) {
+                add_body(
+                    &mut writer,
+                    &self.bins[name].meta,
+                    bytes,
+                    *digest,
+                    &delta_path,
+                )?;
+            }
+            writer.finish()?;
+            Some(delta_path.as_path())
+        };
+        sweep_superseded(dir, keep);
+        self.delta_units = units.into_iter().collect();
+        Ok(true)
+    }
+
+    /// Rewrites the base in full from every bin and removes the delta.
+    /// A body that fails verification quarantines its unit.
+    fn compact(&mut self, dir: &Path, pack_path: &Path) -> Result<(), CoreError> {
+        trace::counter(names::PACK_COMPACTIONS, 1);
         let mut names_sorted: Vec<Symbol> = self.bins.keys().copied().collect();
         names_sorted.sort_by_key(|n| n.as_str());
-        let mut writer = PackWriter::create(&pack_path)?;
+        let mut writer = PackWriter::create(pack_path)?;
         let mut quarantined: Vec<Symbol> = Vec::new();
         for name in &names_sorted {
             let entry = &self.bins[name];
-            // Materialize the body bytes: resident/forced bins
-            // serialize; still-lazy bodies copy raw from the old pack —
-            // unless that pack is a legacy format, in which case the
-            // body is parsed and re-encoded so the migrated archive
-            // carries only current-format bodies.
-            let bytes = match (&entry.body, entry.forced()) {
-                (_, Some(bin)) => bin.to_bytes(),
-                (BinBody::Lazy { src, .. }, None) => {
-                    let raw = src.pack.read_body(src.offset, src.len, src.digest);
-                    let upgraded = raw.and_then(|b| {
-                        if src.pack.version() == PACK_VERSION {
-                            Ok(b)
-                        } else {
-                            BinFile::from_bytes(&b)
-                                .map(|bin| bin.to_bytes())
-                                .map_err(|e| e.to_string())
-                        }
-                    });
-                    match upgraded {
-                        Ok(b) => b,
-                        Err(detail) => {
-                            // The old archive's body is bad (torn,
-                            // digest mismatch, or a forced failure):
-                            // quarantine this unit, keep the rest.
-                            trace::event("irm.bin_body_quarantined")
-                                .field("unit", name.as_str())
-                                .field("error", detail);
-                            quarantined.push(*name);
-                            continue;
-                        }
-                    }
+            match entry.body_bytes() {
+                Ok((bytes, digest)) => {
+                    add_body(&mut writer, &entry.meta, &bytes, digest, pack_path)?
                 }
-                (BinBody::Resident(_), None) => unreachable!("resident bodies are always forced"),
-            };
-            if faults::active() {
-                match faults::check(points::BIN_SAVE, name.as_str()) {
-                    Some(FaultKind::Io) => {
-                        return Err(bin_io(
-                            *name,
-                            &pack_path,
-                            faults::io_error(points::BIN_SAVE, name.as_str()),
-                        ));
-                    }
-                    Some(FaultKind::Torn) => {
-                        // A torn body write: the archive keeps a prefix
-                        // of the real bytes (zero-padded to length)
-                        // under the *true* digest, so only lazy
-                        // verification of this one unit can catch it.
-                        let mut torn = bytes.clone();
-                        let keep = torn.len() / 2;
-                        for b in &mut torn[keep..] {
-                            *b = 0;
-                        }
-                        let digest = Pid::of_bytes(&bytes);
-                        writer.add(&entry.meta, &torn, digest)?;
-                        continue;
-                    }
-                    _ => {}
+                Err(e) => {
+                    // The old archive's body is bad (torn, digest
+                    // mismatch, or a forced failure): quarantine this
+                    // unit, keep the rest.
+                    trace::event("irm.bin_body_quarantined")
+                        .field("unit", name.as_str())
+                        .field("error", &e);
+                    quarantined.push(*name);
                 }
             }
-            trace::counter(names::BIN_BYTES_WRITTEN, bytes.len() as u64);
-            let digest = Pid::of_bytes(&bytes);
-            writer.add(&entry.meta, &bytes, digest)?;
         }
-        writer.finish()?;
+        let seal = writer.finish()?;
         for unit in quarantined {
             self.bins.remove(&unit);
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
         }
-        // Migration: the archive now carries everything; stale per-unit
-        // bin files would shadow it on the next load.
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.extension().is_some_and(|e| e == "bin") {
-                    std::fs::remove_file(&p).ok();
-                }
-            }
-        }
-        self.dirty.clear();
-        self.pack_path = Some(pack_path);
-        self.pack_synced = true;
-        self.save_deps(dir)?;
+        // The base now carries everything: a delta bound to the old base,
+        // and per-unit bin files that would shadow it, are dead.
+        sweep_superseded(dir, None);
+        self.base = Some(PackBase {
+            path: pack_path.to_path_buf(),
+            index_digest: seal.index_digest,
+            len: seal.len,
+        });
+        self.delta_units.clear();
         Ok(())
     }
 
@@ -1055,7 +1106,12 @@ impl Irm {
             std::fs::remove_file(&stale_pack)
                 .map_err(|e| CoreError::Io(format!("{}: {e}", stale_pack.display())))?;
         }
-        self.pack_path = None;
+        for delta in pack::delta_files(dir) {
+            std::fs::remove_file(&delta)
+                .map_err(|e| CoreError::Io(format!("{}: {e}", delta.display())))?;
+        }
+        self.base = None;
+        self.delta_units.clear();
         self.pack_synced = false;
         let mut names_sorted: Vec<Symbol> = self.bins.keys().copied().collect();
         names_sorted.sort_by_key(|n| n.as_str());
@@ -1102,16 +1158,19 @@ impl Irm {
         Ok(())
     }
 
-    /// Loads the bin cache under `dir`: the indexed `bins.pack` archive
-    /// if present (reading *only* its footer index — bodies stay on
-    /// disk until first use), plus any legacy per-unit `*.bin` files
-    /// (which override archive entries of the same name and migrate
-    /// into the archive on the next [`Irm::save_bins`]).
+    /// Loads the bin cache under `dir`: the base `bins.pack` and the
+    /// delta bound to it, if present, overlaid by unit name (reading
+    /// *only* their footer indexes — bodies stay on disk until first
+    /// use), plus any legacy per-unit `*.bin` files (which override
+    /// archive entries of the same name and migrate into the archive on
+    /// the next [`Irm::save_bins`]).  A delta bound to another base is
+    /// ignored; the next save deletes it.
     ///
-    /// A corrupt individual entry — or a corrupt archive — does not
-    /// poison the load: it is reported in [`BinLoadOutcome::corrupt`],
-    /// skipped, and the affected units simply recompile.  In paranoid
-    /// mode every archived body is read and digest-verified eagerly.
+    /// A corrupt individual entry — or a corrupt base or delta — does
+    /// not poison the load: it is reported in
+    /// [`BinLoadOutcome::corrupt`], skipped, and the affected units
+    /// simply recompile.  In paranoid mode every archived body is read
+    /// and digest-verified eagerly.
     ///
     /// # Errors
     ///
@@ -1120,72 +1179,50 @@ impl Irm {
         let _span = trace::span(names::SPAN_LOAD_BINS);
         let mut out = BinLoadOutcome::default();
         let pack_path = dir.join(PACK_FILE);
-        let mut pack_ok = false;
-        let mut pack_current = true;
-        let mut pack_entries = 0usize;
+        let prior = self.bins.len();
+        self.base = None;
+        self.delta_units.clear();
         if pack_path.is_file() {
             match PackReader::open(&pack_path) {
                 Ok(Some(reader)) => {
-                    pack_ok = true;
-                    // A legacy-format archive loads fine, but must not
-                    // count as synced: the next save rewrites it in the
-                    // current format.
-                    pack_current = reader.version() == PACK_VERSION;
                     let reader = Arc::new(reader);
-                    pack_entries = reader.entries().len();
-                    for pe in reader.entries() {
-                        let unit = pe.name;
-                        let fault = if faults::active() {
-                            faults::check(points::BIN_LOAD, unit.as_str())
-                        } else {
-                            None
-                        };
-                        if let Some(FaultKind::Io | FaultKind::Torn) = fault {
-                            let e = bin_io(
-                                unit,
-                                &pack_path,
-                                faults::io_error(points::BIN_LOAD, unit.as_str()),
-                            );
-                            trace::counter(names::BIN_CORRUPT, 1);
-                            trace::event("irm.bin_corrupt")
-                                .field("path", pack_path.display())
-                                .field("error", &e);
-                            out.corrupt.push((pack_path.clone(), e));
-                            continue;
-                        }
-                        let src = LazyBody {
-                            pack: Arc::clone(&reader),
-                            offset: pe.offset,
-                            len: pe.len,
-                            digest: pe.digest,
-                        };
-                        if self.paranoid {
-                            // Paranoid mode trusts nothing it has not
-                            // verified: read every body now.
-                            if let Err(detail) = reader.read_body(src.offset, src.len, src.digest) {
-                                let e = CoreError::BinBodyCorrupt { unit, detail };
+                    let failures = self.load_pack_entries(&reader, false, &mut out);
+                    let current = reader.version() == PACK_VERSION;
+                    // Layer later saves over this base only if it is
+                    // current-format and the bin map mirrors it exactly;
+                    // otherwise the next save rewrites it in full.
+                    if current
+                        && failures == 0
+                        && prior == 0
+                        && self.bins.len() == reader.entries().len()
+                    {
+                        self.base = Some(PackBase {
+                            path: pack_path.clone(),
+                            index_digest: reader.index_digest(),
+                            len: reader.file_len(),
+                        });
+                    }
+                    if current {
+                        match pack::open_delta(dir, &reader) {
+                            Ok(Some(delta)) => {
+                                if self.load_pack_entries(&Arc::new(delta), true, &mut out) > 0 {
+                                    self.base = None;
+                                }
+                            }
+                            Ok(None) => {}
+                            Err(e) => {
+                                // The delta is unusable as a whole: its
+                                // units fall back to their base bodies
+                                // (stale, so they recompile) and the
+                                // next save replaces it.
+                                let delta_path = pack::delta_path(dir, &reader);
                                 trace::counter(names::BIN_CORRUPT, 1);
                                 trace::event("irm.bin_corrupt")
-                                    .field("path", pack_path.display())
+                                    .field("path", delta_path.display())
                                     .field("error", &e);
-                                out.corrupt.push((pack_path.clone(), e));
-                                continue;
+                                out.corrupt.push((delta_path, e));
                             }
-                        } else {
-                            trace::counter(names::BIN_INDEX_ONLY, 1);
                         }
-                        self.dirty.remove(&unit);
-                        self.bins.insert(
-                            unit,
-                            BinEntry {
-                                meta: pe.meta(),
-                                body: BinBody::Lazy {
-                                    src,
-                                    cell: OnceLock::new(),
-                                },
-                            },
-                        );
-                        out.loaded += 1;
                     }
                 }
                 Ok(None) => {}
@@ -1268,12 +1305,10 @@ impl Irm {
                 }
             }
         }
-        self.pack_path = pack_ok.then(|| pack_path.clone());
-        self.pack_synced = pack_ok
-            && pack_current
-            && out.corrupt.is_empty()
-            && legacy == 0
-            && self.bins.len() == pack_entries;
+        if legacy > 0 {
+            self.base = None;
+        }
+        self.pack_synced = self.base.is_some() && out.corrupt.is_empty();
         // The import-DAG sidecar rides along with the pack.  Missing or
         // corrupt reads as absent — the next build derives the graph
         // from analyses and rewrites it.
@@ -1282,6 +1317,80 @@ impl Irm {
             self.graph_synced = true;
         }
         Ok(out)
+    }
+
+    /// Inserts every entry of `pack` as a lazily read bin, replacing any
+    /// bin of the same name.  An entry that fails to load (an injected
+    /// `bin.load` fault, or in paranoid mode a body failing its digest)
+    /// is reported in `out` and skipped; when `shadows` (the pack is a
+    /// delta over already-loaded entries) it also drops the unit, whose
+    /// newest bin is then unknown.  Returns the number of failures.
+    fn load_pack_entries(
+        &mut self,
+        pack: &Arc<PackReader>,
+        shadows: bool,
+        out: &mut BinLoadOutcome,
+    ) -> usize {
+        let mut failures = 0;
+        for pe in pack.entries() {
+            let unit = pe.name;
+            let fault = if faults::active() {
+                faults::check(points::BIN_LOAD, unit.as_str())
+            } else {
+                None
+            };
+            let src = LazyBody {
+                pack: Arc::clone(pack),
+                offset: pe.offset,
+                len: pe.len,
+                digest: pe.digest,
+            };
+            let failure = if let Some(FaultKind::Io | FaultKind::Torn) = fault {
+                Some(bin_io(
+                    unit,
+                    pack.path(),
+                    faults::io_error(points::BIN_LOAD, unit.as_str()),
+                ))
+            } else if self.paranoid {
+                // Paranoid mode trusts nothing it has not verified: read
+                // every body now.
+                pack.read_body(src.offset, src.len, src.digest)
+                    .err()
+                    .map(|detail| CoreError::BinBodyCorrupt { unit, detail })
+            } else {
+                None
+            };
+            if let Some(e) = failure {
+                trace::counter(names::BIN_CORRUPT, 1);
+                trace::event("irm.bin_corrupt")
+                    .field("path", pack.path().display())
+                    .field("error", &e);
+                out.corrupt.push((pack.path().to_path_buf(), e));
+                if shadows && self.bins.remove(&unit).is_some() {
+                    out.loaded -= 1;
+                }
+                failures += 1;
+                continue;
+            }
+            self.dirty.remove(&unit);
+            if shadows {
+                self.delta_units.insert(unit);
+            }
+            let entry = BinEntry {
+                meta: pe.meta(),
+                body: BinBody::Lazy {
+                    src,
+                    cell: OnceLock::new(),
+                },
+            };
+            if self.bins.insert(unit, entry).is_none() {
+                out.loaded += 1;
+                if !self.paranoid {
+                    trace::counter(names::BIN_INDEX_ONLY, 1);
+                }
+            }
+        }
+        failures
     }
 
     /// Analyzes dependencies and returns the topological build order.
@@ -2549,6 +2658,56 @@ fn record_skip(report: &mut BuildReport, name: Symbol, blocked_on: Vec<Symbol>) 
 }
 
 /// A typed bin-file IO error naming both the unit and the path.
+/// Appends one body to a pack, honouring `bin.save` faults: `io` fails
+/// the save; `torn` writes a zero-padded half of the body under the
+/// *true* digest, so only lazy verification of this one unit can catch
+/// it.
+fn add_body(
+    writer: &mut PackWriter,
+    meta: &BinMeta,
+    bytes: &[u8],
+    digest: Pid,
+    path: &Path,
+) -> Result<(), CoreError> {
+    let name = meta.name.as_str();
+    if faults::active() {
+        match faults::check(points::BIN_SAVE, name) {
+            Some(FaultKind::Io) => {
+                return Err(bin_io(
+                    meta.name,
+                    path,
+                    faults::io_error(points::BIN_SAVE, name),
+                ));
+            }
+            Some(FaultKind::Torn) => {
+                let mut torn = bytes.to_vec();
+                let keep = torn.len() / 2;
+                torn[keep..].fill(0);
+                return writer.add(meta, &torn, digest);
+            }
+            _ => {}
+        }
+    }
+    trace::counter(names::BIN_BYTES_WRITTEN, bytes.len() as u64);
+    writer.add(meta, bytes, digest)
+}
+
+/// Deletes what a just-written archive supersedes: legacy per-unit
+/// `*.bin` files, and every delta other than `keep`.
+fn sweep_superseded(dir: &Path, keep: Option<&Path>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let p = entry.path();
+        let dead_delta =
+            entry.file_name().to_str().is_some_and(is_delta_file_name) && keep != Some(p.as_path());
+        if dead_delta || p.extension().is_some_and(|e| e == "bin") {
+            std::fs::remove_file(&p).ok();
+        }
+    }
+}
+
 fn bin_io(unit: Symbol, path: &Path, e: impl std::fmt::Display) -> CoreError {
     CoreError::BinIo {
         unit,

@@ -47,7 +47,41 @@
 //! fsync the parent directory, so a crash mid-save leaves the previous
 //! pack intact and a completed save survives power loss.  The seal is
 //! instrumented with the `pack.save` fault point (stages `begin`,
-//! `staged`, `renamed`) for the crash-recovery harness.
+//! `staged`, `renamed`, each followed by the file name) for the
+//! crash-recovery harness.
+//!
+//! # Base and delta
+//!
+//! A bin directory holds one **base**, `bins.pack`, and at most one
+//! **delta** beside it.  The delta is an ordinary pack in the same
+//! format, written by the same [`PackWriter`].  It holds every unit
+//! whose body is not in the base: fresh compiles, plus bodies carried
+//! over from the previous delta.
+//!
+//! * **Name binding.**  The delta is named after the base's index
+//!   digest, `bins-<32 hex>.delta` ([`delta_file_name`]).  That binds
+//!   it to exactly one base with no new header field.  A delta whose
+//!   name does not match the current base is stale: loads ignore it and
+//!   the next save deletes it.
+//! * **Load.**  Open the base, then the matching delta, and overlay the
+//!   delta's entries by unit name ([`MergedPack`] is the same view for
+//!   tools and tests).  Bodies from either file are read lazily and
+//!   digest-verified alike.
+//! * **Save.**  A save writes only a new delta, so its cost follows the
+//!   edit, not the project.  It **compacts** instead, rewriting the base
+//!   in full and deleting the delta, when there is no current-format
+//!   base (cold build, legacy or corrupt pack), when a unit was
+//!   quarantined, or when the delta would exceed 1/[`DELTA_CAP_DIVISOR`]
+//!   of the base.  The cap bounds the dead bytes (base bodies a delta
+//!   shadows) below 1.6 % of the base.
+//! * **Crashes.**  Neither file is ever rewritten in place, so a mapped
+//!   reader keeps its inode.  A save killed before its rename leaves
+//!   the previous base and delta, an older consistent state, plus tmp
+//!   litter.  A compaction killed after renaming the new base but
+//!   before deleting the old delta leaves a stale delta, which no longer
+//!   matches and is never loaded.  Every entry carries its own source
+//!   and import pids, so any mix of older and newer bins can only cost
+//!   recompiles, never a wrong link.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -63,6 +97,11 @@ use crate::CoreError;
 /// The archive's file name inside a bin directory.
 pub const PACK_FILE: &str = "bins.pack";
 
+/// A delta may hold at most `1 / DELTA_CAP_DIVISOR` of its base's
+/// length; a save that would exceed that compacts instead, so the dead
+/// bytes the bin directory carries stay below 1.6 % of the base.
+pub const DELTA_CAP_DIVISOR: u64 = 64;
+
 /// Current version byte after the leading magic.  Readers also accept
 /// [`LEGACY_PACK_VERSION`]; anything else rejects the pack (the units
 /// then just recompile, or load from legacy `*.bin` files).
@@ -77,6 +116,20 @@ const FOOTER_MAGIC: &[u8; 8] = b"SMLSPKI1";
 const FOOTER_LEN: u64 = 40;
 /// magic (8) + version (1).
 const HEADER_LEN: u64 = 9;
+
+/// The length of a pack with no entries: header, the index's three
+/// table counts, footer.
+pub(crate) const EMPTY_PACK_LEN: u64 = HEADER_LEN + 12 + FOOTER_LEN;
+
+/// An upper bound on the bytes one entry adds to a pack: its body, its
+/// fixed index slot, and its edges and names as if no string were
+/// shared.  Summed over entries and added to [`EMPTY_PACK_LEN`], it
+/// bounds a pack's length before the pack is written.
+pub(crate) fn entry_len_bound(meta: &BinMeta, body_len: u64) -> u64 {
+    let name = |s: Symbol| 4 + s.as_str().len() as u64;
+    let edges: u64 = meta.imports.iter().map(|i| 20 + name(i.unit)).sum();
+    body_len + 84 + name(meta.name) + edges
+}
 
 /// One unit's slot in the footer index: the full decision metadata plus
 /// the location and digest of its serialized body.  The serde derives
@@ -262,6 +315,8 @@ pub struct PackReader {
     file: std::fs::File,
     map: Option<smlsc_mmap::Mapping>,
     version: u8,
+    len: u64,
+    index_digest: Pid,
     entries: Vec<PackEntry>,
 }
 
@@ -366,6 +421,8 @@ impl PackReader {
             file,
             map,
             version,
+            len: total,
+            index_digest,
             entries,
         }))
     }
@@ -385,6 +442,17 @@ impl PackReader {
     /// The parsed index.
     pub fn entries(&self) -> &[PackEntry] {
         &self.entries
+    }
+
+    /// The file's length in bytes (bodies, index and footer).
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+
+    /// The digest of the index, as recorded in the footer.  A base
+    /// pack's index digest names its delta ([`delta_file_name`]).
+    pub fn index_digest(&self) -> Pid {
+        self.index_digest
     }
 
     /// Reads and digest-verifies one body slice with a positioned read —
@@ -485,13 +553,13 @@ impl PackWriter {
     }
 
     /// Seals the pack: writes the index and footer, fsyncs, and renames
-    /// into place.  Returns the total bytes written.
+    /// into place.
     ///
     /// # Errors
     ///
     /// [`CoreError::Io`] on filesystem failures (the temp file is
     /// removed; the previous pack, if any, is untouched).
-    pub fn finish(mut self) -> Result<u64, CoreError> {
+    pub fn finish(mut self) -> Result<PackSeal, CoreError> {
         use smlsc_faults::{self as faults, points, FaultKind};
         let name = self
             .dest
@@ -552,8 +620,21 @@ impl PackWriter {
                 .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
         }
         self.tmp.clear();
-        Ok(total)
+        Ok(PackSeal {
+            len: total,
+            index_digest,
+        })
     }
+}
+
+/// What [`PackWriter::finish`] committed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackSeal {
+    /// The file's total length in bytes.
+    pub len: u64,
+    /// The digest of its index (the footer's), which names the delta
+    /// bound to this pack when it is a base.
+    pub index_digest: Pid,
 }
 
 impl Drop for PackWriter {
@@ -562,6 +643,98 @@ impl Drop for PackWriter {
             self.file = None;
             std::fs::remove_file(&self.tmp).ok();
         }
+    }
+}
+
+/// The file name of the delta bound to a base whose index digest is
+/// `base_index_digest`: `bins-<32 hex>.delta`.
+pub fn delta_file_name(base_index_digest: Pid) -> String {
+    format!("bins-{base_index_digest}.delta")
+}
+
+/// True when `name` has the shape of a delta file name, whichever base
+/// it is bound to.
+pub(crate) fn is_delta_file_name(name: &str) -> bool {
+    name.strip_prefix("bins-")
+        .and_then(|rest| rest.strip_suffix(".delta"))
+        .is_some_and(|hex| hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+}
+
+/// The path of the delta bound to `base`, inside `dir`.
+pub(crate) fn delta_path(dir: &Path, base: &PackReader) -> PathBuf {
+    dir.join(delta_file_name(base.index_digest()))
+}
+
+/// Every delta file in `dir`, bound to the current base or not, sorted.
+pub fn delta_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter(|e| e.file_name().to_str().is_some_and(is_delta_file_name))
+                .map(|e| e.path())
+                .collect()
+        })
+        .unwrap_or_default();
+    out.sort();
+    out
+}
+
+/// Opens the delta bound to `base` in `dir`.  `Ok(None)` when there is
+/// none; a delta bound to another base is never opened.
+///
+/// # Errors
+///
+/// As [`PackReader::open`], for a matching delta that is corrupt.
+pub(crate) fn open_delta(dir: &Path, base: &PackReader) -> Result<Option<PackReader>, CoreError> {
+    PackReader::open(&delta_path(dir, base))
+}
+
+/// A bin directory's archive as a build sees it: the base `bins.pack`
+/// with its matching delta, if any, overlaid by unit name.
+#[derive(Debug)]
+pub struct MergedPack {
+    base: PackReader,
+    delta: Option<PackReader>,
+}
+
+impl MergedPack {
+    /// Opens the base in `dir` and the delta bound to it.  `Ok(None)`
+    /// when there is no base.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::CorruptBin`] when the base or its matching delta
+    /// fails to open (see [`PackReader::open`]).
+    pub fn open(dir: &Path) -> Result<Option<MergedPack>, CoreError> {
+        let Some(base) = PackReader::open(&dir.join(PACK_FILE))? else {
+            return Ok(None);
+        };
+        let delta = open_delta(dir, &base)?;
+        Ok(Some(MergedPack { base, delta }))
+    }
+
+    /// The base pack.
+    pub fn base(&self) -> &PackReader {
+        &self.base
+    }
+
+    /// The delta overlaid on the base, if one exists.
+    pub fn delta(&self) -> Option<&PackReader> {
+        self.delta.as_ref()
+    }
+
+    /// Every live entry, sorted by unit name, with the pack that holds
+    /// its body: a delta entry shadows the base entry of the same name.
+    pub fn entries(&self) -> Vec<(&PackEntry, &PackReader)> {
+        let mut live: std::collections::BTreeMap<&str, (&PackEntry, &PackReader)> =
+            std::collections::BTreeMap::new();
+        for pack in std::iter::once(&self.base).chain(&self.delta) {
+            for e in pack.entries() {
+                live.insert(e.name.as_str(), (e, pack));
+            }
+        }
+        live.into_values().collect()
     }
 }
 
@@ -849,6 +1022,71 @@ mod tests {
             PackReader::open(&path),
             Err(CoreError::CorruptBin(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn delta_names_bind_to_the_base_index_digest() {
+        let name = delta_file_name(Pid::from_raw(0xabc));
+        assert_eq!(name, "bins-00000000000000000000000000000abc.delta");
+        assert!(is_delta_file_name(&name));
+        for other in ["bins.pack", "bins-abc.delta", "deps.pack", "bins-.delta"] {
+            assert!(!is_delta_file_name(other), "{other}");
+        }
+        // A delta's staging file is commit litter, not a delta.
+        let tmp = crate::fsutil::unique_tmp(Path::new(&name));
+        let tmp = tmp.file_name().unwrap().to_str().unwrap();
+        assert!(crate::fsutil::is_tmp_litter(tmp), "{tmp}");
+        assert!(!is_delta_file_name(tmp), "{tmp}");
+    }
+
+    #[test]
+    fn merged_view_overlays_only_the_matching_delta() {
+        let dir = tmp_dir("merged");
+        let base = PackReader::open(&write_two(&dir)).unwrap().unwrap();
+        let write_one = |path: &Path, name: &str, mtime: u64| {
+            let b = bin(name, mtime);
+            let bytes = b.to_bytes();
+            let mut w = PackWriter::create(path).unwrap();
+            w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
+            w.finish().unwrap()
+        };
+        // The delta bound to this base shadows `b`; one bound to another
+        // base would resurrect a stale `a` and must be ignored.
+        write_one(&delta_path(&dir, &base), "b", 30);
+        write_one(&dir.join(delta_file_name(Pid::from_raw(1))), "a", 99);
+        assert_eq!(delta_files(&dir).len(), 2);
+
+        let merged = MergedPack::open(&dir).unwrap().unwrap();
+        assert_eq!(merged.delta().unwrap().entries().len(), 1);
+        let rows: Vec<(String, u64)> = merged
+            .entries()
+            .iter()
+            .map(|(e, pack)| {
+                let body = pack.read_body(e.offset, e.len, e.digest).unwrap();
+                assert_eq!(BinFile::from_bytes(&body).unwrap().mtime, e.mtime);
+                (e.name.to_string(), e.mtime)
+            })
+            .collect();
+        assert_eq!(rows, [("a".to_string(), 10), ("b".to_string(), 30)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn seal_reports_what_a_reader_sees() {
+        let dir = tmp_dir("seal");
+        let path = dir.join(PACK_FILE);
+        let b = bin("a", 1);
+        let bytes = b.to_bytes();
+        let mut w = PackWriter::create(&path).unwrap();
+        w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
+        let seal = w.finish().unwrap();
+        let r = PackReader::open(&path).unwrap().unwrap();
+        assert_eq!(seal.len, r.file_len());
+        assert_eq!(seal.len, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(seal.index_digest, r.index_digest());
+        // The size bound really bounds.
+        assert!(seal.len <= EMPTY_PACK_LEN + entry_len_bound(&b.meta(), bytes.len() as u64));
         std::fs::remove_dir_all(&dir).ok();
     }
 

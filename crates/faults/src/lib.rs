@@ -97,8 +97,11 @@ pub mod points {
     /// `StampCache::save`: the tmp+fsync+rename publication of
     /// `stamps.json`.  Checked at stages `begin`, `staged`, `renamed`.
     pub const STAMP_SAVE: &str = "stamp.save";
-    /// `PackWriter::finish`: sealing and renaming `bins.pack` into
-    /// place.  Checked at stages `begin`, `staged`, `renamed`.
+    /// `PackWriter::finish`: sealing and renaming `bins.pack`, or the
+    /// delta beside it, into place.  Checked at stages `begin`,
+    /// `staged`, `renamed`, each followed by the file name
+    /// (`staged bins.pack`, `staged bins-<digest>.delta`), so a filter
+    /// can pick the base or the delta save.
     pub const PACK_SAVE: &str = "pack.save";
     /// `Ledger::rotate_if_needed`: the tmp+rename that truncates an
     /// over-long `builds.jsonl`.  Checked at stages `begin`, `staged`,

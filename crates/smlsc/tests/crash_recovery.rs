@@ -22,9 +22,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use smlsc::core::pack::PackReader;
+use smlsc::core::pack::MergedPack;
 use smlsc::core::BinFile;
-use smlsc::workload::{Topology, Workload, WorkloadSpec};
+use smlsc::workload::{module_name, EditKind, Topology, Workload, WorkloadSpec};
 
 fn smlsc() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_smlsc"));
@@ -45,13 +45,27 @@ fn temp(name: &str) -> PathBuf {
 /// sources, so two directories seeded alike are buildable references
 /// for each other.
 fn seed_project(dir: &Path, units: usize) {
-    let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
-        units,
-        seed: 7,
-    }));
-    for f in w.project().files() {
+    for f in workload(units).project().files() {
         std::fs::write(dir.join(format!("{}.sml", f.name)), f.read_text().unwrap()).unwrap();
     }
+}
+
+fn workload(units: usize) -> Workload {
+    Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units,
+        seed: 7,
+    }))
+}
+
+/// Applies one body-only edit to a unit nothing imports, on disk: after
+/// a good build, the save that follows writes only a delta.
+fn edit_leaf(dir: &Path, units: usize) {
+    let mut w = workload(units);
+    let leaf = w.leaf_consumer().expect("a unit nothing imports");
+    w.edit(leaf, EditKind::BodyOnly);
+    let name = module_name(leaf);
+    let text = w.project().file(&name).unwrap().read_text().unwrap();
+    std::fs::write(dir.join(format!("{name}.sml")), text).unwrap();
 }
 
 fn build(dir: &Path, store: Option<&Path>, faults: Option<&str>) -> std::process::Output {
@@ -67,21 +81,22 @@ fn build(dir: &Path, store: Option<&Path>, faults: Option<&str>) -> std::process
     cmd.output().unwrap()
 }
 
-/// The durable artifact state of a bin dir: every pack entry's identity
-/// and its canonical body bytes, sorted by unit name.  Bodies are
+/// The durable artifact state of a bin dir: every live entry of the
+/// base pack and its delta, overlaid, with its identity and canonical
+/// body bytes, sorted by unit name.  Bodies are
 /// compared in the store's canonical mtime-zero form — identical
 /// compiles are bit-identical once the per-compile virtual mtime is
 /// zeroed, which is exactly the normalization `store.publish` uses.
 type Fingerprint = Vec<(String, String, String, Vec<u8>)>;
 
 fn fingerprint(bin_dir: &Path) -> Fingerprint {
-    let pack = PackReader::open(&bin_dir.join("bins.pack"))
-        .expect("pack readable")
+    let merged = MergedPack::open(bin_dir)
+        .expect("pack and delta readable")
         .expect("pack present after a successful build");
-    let mut rows: Fingerprint = pack
+    let mut rows: Fingerprint = merged
         .entries()
-        .iter()
-        .map(|e| {
+        .into_iter()
+        .map(|(e, pack)| {
             // `read_body` verifies the digest before returning bytes,
             // so a torn pack fails loudly here rather than producing a
             // bogus "match".
@@ -128,10 +143,21 @@ fn crash_then_recover(
     seed_project(&proj, units);
     let store_dir = proj.join("_store");
     let store = with_store.then_some(store_dir.as_path());
+    crash_then_recover_in(&proj, units, rule, store, reference);
+}
 
+/// The crash-recovery property for one crash rule, on the project
+/// already on disk at `proj`.
+fn crash_then_recover_in(
+    proj: &Path,
+    units: usize,
+    rule: &str,
+    store: Option<&Path>,
+    reference: &Fingerprint,
+) {
     // The crashed run: the injected fault aborts the process at the
     // exact durable-write stage named by the rule.
-    let out = build(&proj, store, Some(rule));
+    let out = build(proj, store, Some(rule));
     assert!(
         out.status.code().is_none(),
         "{rule}: expected an abort (killed by signal), got {:?}\nstderr: {}",
@@ -146,7 +172,7 @@ fn crash_then_recover(
 
     // Recovery: a plain build on the crashed state succeeds and lands
     // in exactly the state a never-crashed build produces.
-    let out = build(&proj, store, None);
+    let out = build(proj, store, None);
     assert!(
         out.status.success(),
         "{rule}: recovery build failed: {out:?}"
@@ -164,14 +190,14 @@ fn crash_then_recover(
 
     // Self-healing: `doctor --fix` clears any crash debris (tmp litter,
     // torn ledger tail) and a follow-up audit is fully healthy.
-    let out = doctor(&proj, store, true);
+    let out = doctor(proj, store, true);
     assert_eq!(
         out.status.code(),
         Some(0),
         "{rule}: doctor --fix failed: {}",
         String::from_utf8_lossy(&out.stdout)
     );
-    let out = doctor(&proj, store, false);
+    let out = doctor(proj, store, false);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -179,7 +205,7 @@ fn crash_then_recover(
         String::from_utf8_lossy(&out.stdout)
     );
 
-    std::fs::remove_dir_all(&proj).ok();
+    std::fs::remove_dir_all(proj).ok();
 }
 
 /// Builds the clean reference once per `(units, with_store)` shape.
@@ -258,6 +284,35 @@ fn crash_recovery_holds_at_monorepo_scale_n200() {
         true,
         &store_fp,
     );
+}
+
+/// The delta save, crashed at each of its `pack.save` stages: a good
+/// build, then a one-leaf edit whose save writes only a delta
+/// (`bins-<digest>.delta`; the `bins-` filter never matches the base's
+/// `bins.pack`).  Recovery lands on a clean build of the edited
+/// sources and `doctor --fix` leaves a healthy bin dir.
+#[test]
+fn crash_at_every_delta_save_stage_recovers_n200() {
+    let units = 200;
+    let reference_fp = {
+        let dir = temp("ref-delta-200");
+        seed_project(&dir, units);
+        edit_leaf(&dir, units);
+        let out = build(&dir, None, None);
+        assert!(out.status.success(), "reference build failed: {out:?}");
+        let fp = fingerprint(&dir.join(".smlsc-bins"));
+        std::fs::remove_dir_all(&dir).ok();
+        fp
+    };
+    for stage in ["begin", "staged", "renamed"] {
+        let proj = temp(&format!("delta200-{stage}"));
+        seed_project(&proj, units);
+        let out = build(&proj, None, None);
+        assert!(out.status.success(), "good build failed: {out:?}");
+        edit_leaf(&proj, units);
+        let rule = format!("pack.save=crash({stage} bins-)");
+        crash_then_recover_in(&proj, units, &rule, None, &reference_fp);
+    }
 }
 
 /// A daemon killed while writing its lockfile leaves exactly the

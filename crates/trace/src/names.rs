@@ -103,6 +103,10 @@ pub const SOURCE_READS: &str = "source.reads";
 /// Units whose bin metadata was served from the `bins.pack` footer index
 /// alone — no pickle body was read or parsed for the rebuild decision.
 pub const BIN_INDEX_ONLY: &str = "bin.index_only";
+/// Full rewrites of the base `bins.pack` by `save_bins`: a cold save,
+/// or a compaction that folds the delta back into the base.  A save
+/// that writes only a delta leaves it at zero.
+pub const PACK_COMPACTIONS: &str = "pack.compactions";
 /// Pack bodies lazily sliced, digest-verified, and parsed on first use.
 pub const BIN_LAZY_BODIES: &str = "bin.lazy_bodies";
 /// Pack bodies that failed digest verification when first forced; the

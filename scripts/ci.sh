@@ -174,9 +174,20 @@ set -e
 [ "$code" -eq 134 ] || { echo "error: expected SIGABRT exit 134, got $code" >&2; exit 1; }
 # The next plain build recovers without any manual cleanup.
 ./target/release/smlsc build --no-daemon "$x"
+# Grow the project so a one-unit edit saves as a delta beside bins.pack
+# (a delta may hold at most 1/64 of the base), then make one.
+for i in $(seq 1 150); do
+  printf 'structure Pad%d = struct val v = %d end\n' "$i" "$i" > "$x/pad$i.sml"
+done
+./target/release/smlsc build --no-daemon "$x"
+printf 'structure Pad1 = struct val v = 0 end\n' > "$x/pad1.sml"
+./target/release/smlsc build --no-daemon "$x"
+delta=$(ls "$x"/.smlsc-bins/bins-*.delta) \
+  || { echo "error: a one-unit edit did not save a delta" >&2; exit 1; }
 # Mangle every state kind the doctor audits, then assert its exit
 # codes: 4 on detection, 0 after --fix, 0 (healthy) on re-audit.
 printf 'SMLSSTM2 then garbage' > "$x/.smlsc-bins/stamps.json"
+printf 'SMLSPAK2 then garbage' > "$delta"
 printf 'SMLSDEP1garbage' > "$x/.smlsc-bins/deps.pack"
 printf '{"v":1,"torn' >> "$x/.smlsc-bins/builds.jsonl"
 printf 'half-staged' > "$x/.smlsc-bins/bins.tmp-99-0"

@@ -3,15 +3,20 @@
 //! units (cutoff stops the cascade at unchanged interfaces) and the
 //! scheduled dirty cone is exactly the union of the edited units'
 //! dependent cones — in the sequential build, the parallel build, and
-//! the resident (daemon) session alike.
+//! the resident (daemon) session alike.  After every edit, each mode's
+//! persisted archive (the base `bins.pack` with its delta overlaid)
+//! must hold exactly what a cold build of the same sources persists,
+//! and the delta must stay within its cap.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smlsc_core::irm::{FailurePolicy, Irm, Project, Strategy};
+use smlsc_core::pack::{self, MergedPack, DELTA_CAP_DIVISOR};
 use smlsc_core::resident::Resident;
-use smlsc_core::trace;
+use smlsc_core::{trace, BinFile};
+use smlsc_ids::Pid;
 use smlsc_workload::{module_name, EditKind, Topology, Workload, WorkloadSpec};
 
 static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -78,6 +83,56 @@ fn cold_step(
     )
 }
 
+/// One persisted unit, normalized: name, source and export pids, and
+/// the body with its per-compile virtual mtime zeroed.
+type UnitRow = (String, Pid, Pid, Vec<u8>);
+
+/// The merged base ⊕ delta view of a bin dir, normalized, after checking
+/// that the delta (if any) is within its cap.  Returns whether a delta
+/// was present.
+fn archive_view(bin: &Path, ctx: &str) -> (Vec<UnitRow>, bool) {
+    let merged = MergedPack::open(bin).unwrap().expect("a pack");
+    assert!(
+        pack::delta_files(bin).len() <= usize::from(merged.delta().is_some()),
+        "{ctx}: a save left a stale delta behind"
+    );
+    let base_len = merged.base().file_len();
+    if let Some(delta) = merged.delta() {
+        assert!(
+            delta.file_len() <= base_len / DELTA_CAP_DIVISOR,
+            "{ctx}: delta of {} bytes over the cap of a {base_len}-byte base",
+            delta.file_len()
+        );
+    }
+    let rows = merged
+        .entries()
+        .into_iter()
+        .map(|(e, pack)| {
+            let body = pack.read_body(e.offset, e.len, e.digest).unwrap();
+            let mut bin = BinFile::from_bytes(&body).unwrap();
+            bin.mtime = 0;
+            (
+                e.name.to_string(),
+                e.source_pid,
+                e.export_pid,
+                bin.to_bytes(),
+            )
+        })
+        .collect();
+    (rows, merged.delta().is_some())
+}
+
+/// What a cold build of `src` persists, normalized as [`archive_view`].
+fn cold_view(src: &Path) -> Vec<UnitRow> {
+    let bin = temp_dir("cold-ref");
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&Project::from_dir(src).unwrap()).unwrap();
+    irm.save_bins(&bin).unwrap();
+    let (rows, _) = archive_view(&bin, "cold reference");
+    std::fs::remove_dir_all(&bin).ok();
+    rows
+}
+
 /// The union of the edited units' cones: each edited unit plus every
 /// transitive dependent, computed independently from the workload's own
 /// dependency lists.
@@ -92,6 +147,8 @@ fn union_of_cones(w: &Workload, edited: &BTreeSet<usize>) -> BTreeSet<usize> {
 #[test]
 fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
     let units = 120;
+    // Saves that left a delta (rather than compacting), over all seeds.
+    let mut deltas = 0;
     for seed in [3u64, 17] {
         let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
             units,
@@ -152,6 +209,17 @@ fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
                 "{ctx}: daemon cone, stats {}",
                 snap.stats_json
             );
+
+            // Every mode persisted exactly what a cold build would.
+            let cold = cold_view(&src);
+            for (mode, bin) in [("seq", &seq_bin), ("par", &par_bin), ("dmn", &dmn_bin)] {
+                let (view, has_delta) = archive_view(bin, &format!("{ctx} {mode}"));
+                assert!(
+                    view == cold,
+                    "{ctx}: {mode} archive differs from a cold build"
+                );
+                deltas += usize::from(has_delta);
+            }
         }
 
         // A final no-op round: every mode reuses everything and the
@@ -165,6 +233,7 @@ fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
         assert!(cached || snap.recompiled == 0, "seed {seed}: daemon no-op");
         std::fs::remove_dir_all(&base).ok();
     }
+    assert!(deltas > 0, "no save in either history wrote a delta");
 }
 
 /// Interface-widening churn: the recompile set grows to the edited
@@ -218,6 +287,15 @@ fn interface_churn_recompiles_direct_importers_and_agrees_across_modes() {
             .map(module_name)
             .collect();
         assert_eq!(seq_rec, direct, "{ctx}: victim + direct importers");
+
+        let cold = cold_view(&src);
+        for (mode, bin) in [("seq", &seq_bin), ("par", &par_bin)] {
+            let (view, _) = archive_view(bin, &format!("{ctx} {mode}"));
+            assert!(
+                view == cold,
+                "{ctx}: {mode} archive differs from a cold build"
+            );
+        }
     }
     std::fs::remove_dir_all(&base).ok();
 }

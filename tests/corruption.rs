@@ -68,7 +68,7 @@ fn bit_flipped_bin_is_corrupt() {
     let mut bytes = saved_bin(&dir, "base");
     // Flip a byte inside the payload; the container self-digest catches it.
     let k = bytes.len() - 2;
-    bytes[k] = 0x00;
+    bytes[k] ^= 0xff;
     assert!(matches!(
         BinFile::from_bytes(&bytes),
         Err(CoreError::CorruptBin(_))
@@ -103,7 +103,7 @@ fn build_over_a_corrupted_cache_recompiles_and_matches() {
     let original = saved_bin(&dir, "mid");
     let mut flipped = original.clone();
     let k = flipped.len() - 2;
-    flipped[k] = 0x00;
+    flipped[k] ^= 0xff;
     let damages: Vec<(&str, Vec<u8>)> = vec![
         ("truncated", original[..original.len() / 2].to_vec()),
         ("bit-flipped", flipped),

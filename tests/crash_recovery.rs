@@ -17,7 +17,7 @@ use std::time::Duration;
 use smlsc::core::doctor::{self, DoctorOptions, DoctorVerdict};
 use smlsc::core::irm::{Irm, Strategy};
 use smlsc::core::ledger::{Ledger, LedgerRecord, LEDGER_FILE, LEDGER_VERSION};
-use smlsc::core::pack::PackReader;
+use smlsc::core::pack::{self, MergedPack, PackReader};
 use smlsc::core::store::Store;
 use smlsc::ids::Pid;
 use smlsc::workload::{Topology, Workload, WorkloadSpec};
@@ -186,7 +186,7 @@ fn truncated_pack_is_moved_aside_and_rebuilt() {
     let bytes = std::fs::read(&pack_path).unwrap();
     std::fs::write(&pack_path, &bytes[..bytes.len() - 16]).unwrap();
     assert!(
-        PackReader::open(&pack_path).is_err(),
+        MergedPack::open(&bin).is_err(),
         "truncated pack no longer opens"
     );
 
@@ -209,10 +209,7 @@ fn truncated_pack_is_moved_aside_and_rebuilt() {
     let report = irm.build(w.project()).unwrap();
     assert!(report.succeeded());
     irm.save_bins(&bin).unwrap();
-    assert!(
-        PackReader::open(&pack_path).unwrap().is_some(),
-        "pack rebuilt"
-    );
+    assert!(MergedPack::open(&bin).unwrap().is_some(), "pack rebuilt");
     std::fs::remove_dir_all(&bin).ok();
 }
 
@@ -241,16 +238,7 @@ fn bitflipped_pack_body_is_dropped_keeping_good_units() {
         "{}",
         report.to_json()
     );
-    let pack = PackReader::open(&pack_path).unwrap().unwrap();
-    assert_eq!(
-        pack.entries().len(),
-        total - 1,
-        "only the corrupt body dropped"
-    );
-    for e in pack.entries() {
-        pack.read_body(e.offset, e.len, e.digest)
-            .unwrap_or_else(|err| panic!("surviving body {} must verify: {err}", e.name));
-    }
+    assert_merged_verifies(&bin, total - 1, "only the corrupt body dropped");
     std::fs::remove_dir_all(&bin).ok();
 }
 
@@ -359,24 +347,33 @@ fn failed_pack_save_never_tears_the_previous_pack() {
 
             // The previous pack is intact: opens, and every body
             // verifies against its digest.
-            let pack = PackReader::open(&bin.join("bins.pack")).unwrap().unwrap();
-            assert_eq!(pack.entries().len(), units, "{units}/{stage}: entry count");
-            for e in pack.entries() {
-                pack.read_body(e.offset, e.len, e.digest)
-                    .unwrap_or_else(|err| {
-                        panic!(
-                            "{units}/{stage}: body {} torn by failed save: {err}",
-                            e.name
-                        )
-                    });
-            }
-            drop(pack);
+            let edited = smlsc::workload::module_name(units - 1);
+            let live_source = |bin: &Path| {
+                let merged = MergedPack::open(bin).unwrap().unwrap();
+                let entries = merged.entries();
+                let (e, _) = entries
+                    .iter()
+                    .find(|(e, _)| e.name.as_str() == edited)
+                    .unwrap();
+                e.source_pid
+            };
+            let ctx = format!("{units}/{stage}");
+            assert_merged_verifies(&bin, units, &ctx);
+            assert_ne!(
+                live_source(&bin),
+                irm.bin_meta(&edited).unwrap().source_pid,
+                "{ctx}: the failed save published nothing"
+            );
 
             // With the fault gone the save completes and carries the
             // edited unit.
             irm.save_bins(&bin).unwrap();
-            let pack = PackReader::open(&bin.join("bins.pack")).unwrap().unwrap();
-            assert_eq!(pack.entries().len(), units);
+            assert_merged_verifies(&bin, units, &ctx);
+            assert_eq!(
+                live_source(&bin),
+                irm.bin_meta(&edited).unwrap().source_pid,
+                "{ctx}: the save carries the edited unit"
+            );
             std::fs::remove_dir_all(&bin).ok();
         }
     }
@@ -505,18 +502,219 @@ fn failed_deps_save_keeps_pack_intact() {
         );
         irm.save_bins(&bin).unwrap_err();
     }
-    let pack = PackReader::open(&bin.join("bins.pack")).unwrap().unwrap();
-    assert_eq!(
-        pack.entries().len(),
-        30,
-        "pack committed before the sidecar"
-    );
-    drop(pack);
+    assert_merged_verifies(&bin, 30, "pack committed before the sidecar");
     assert!(!bin.join("deps.pack").exists());
 
     irm.save_bins(&bin).unwrap();
     let n = smlsc::core::depgraph::DepGraph::audit(&bin.join("deps.pack")).unwrap();
     assert_eq!(n, 30);
+    std::fs::remove_dir_all(&bin).ok();
+}
+
+/// The merged base ⊕ delta view of `bin` holds `units` live entries and
+/// every one of their bodies verifies against its digest.
+fn assert_merged_verifies(bin: &Path, units: usize, ctx: &str) {
+    let merged = MergedPack::open(bin).unwrap().expect("a pack");
+    let entries = merged.entries();
+    assert_eq!(entries.len(), units, "{ctx}: live entry count");
+    for (e, pack) in entries {
+        pack.read_body(e.offset, e.len, e.digest)
+            .unwrap_or_else(|err| panic!("{ctx}: body {} must verify: {err}", e.name));
+    }
+}
+
+/// Builds a 200-unit workload cold, then edits two leaves and saves
+/// again, which writes a delta holding exactly those two units.  Returns
+/// the workload (at its edited state) and the two leaves' names.
+fn workload_with_delta(bin: &Path) -> (Workload, [String; 2]) {
+    let units = 200;
+    let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units,
+        seed: 11,
+    }));
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(w.project()).unwrap();
+    irm.save_bins(bin).unwrap();
+    let mut leaves = (0..units).filter(|i| !w.deps().iter().any(|d| d.contains(i)));
+    let edited = [leaves.next().unwrap(), leaves.next().unwrap()];
+    for &leaf in &edited {
+        w.edit(leaf, smlsc::workload::EditKind::BodyOnly);
+    }
+    irm.build(w.project()).unwrap();
+    irm.save_bins(bin).unwrap();
+    let merged = MergedPack::open(bin).unwrap().unwrap();
+    let delta = merged.delta().expect("a two-leaf edit saves as a delta");
+    assert_eq!(delta.entries().len(), 2);
+    (w, edited.map(smlsc::workload::module_name))
+}
+
+/// A delta body that fails its digest is a pack finding; `--fix` folds
+/// base and delta into one compacted base that keeps every valid body —
+/// the other edited leaf's new body included — and drops only the
+/// corrupt unit, which the next build then recompiles alone.
+#[test]
+fn corrupt_delta_body_is_folded_into_a_compacted_base() {
+    let bin = temp("deltaflip");
+    let (w, [victim, survivor]) = workload_with_delta(&bin);
+    let merged = MergedPack::open(&bin).unwrap().unwrap();
+    let delta = merged.delta().unwrap();
+    let delta_path = delta.path().to_path_buf();
+    let e = delta
+        .entries()
+        .iter()
+        .find(|e| e.name.as_str() == victim)
+        .unwrap()
+        .clone();
+    let survivor_source = merged
+        .entries()
+        .iter()
+        .find(|(e, _)| e.name.as_str() == survivor)
+        .unwrap()
+        .0
+        .source_pid;
+    drop(merged);
+    let mut bytes = std::fs::read(&delta_path).unwrap();
+    bytes[usize::try_from(e.offset + e.len / 2).unwrap()] ^= 0xff;
+    std::fs::write(&delta_path, &bytes).unwrap();
+
+    let report = doctor_on(&bin, None, false);
+    assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.state == "pack" && f.issue.contains("delta: 1 of 2")),
+        "{}",
+        report.to_json()
+    );
+    let report = doctor_on(&bin, None, true);
+    assert_eq!(
+        report.verdict(),
+        DoctorVerdict::Repaired,
+        "{}",
+        report.to_json()
+    );
+    assert!(!delta_path.exists(), "the delta is folded away");
+    assert!(pack::delta_files(&bin).is_empty());
+    assert_merged_verifies(&bin, 199, "only the corrupt unit dropped");
+    let merged = MergedPack::open(&bin).unwrap().unwrap();
+    let entries = merged.entries();
+    let (kept, _) = entries
+        .iter()
+        .find(|(e, _)| e.name.as_str() == survivor)
+        .unwrap();
+    assert_eq!(
+        kept.source_pid, survivor_source,
+        "the valid delta body survives"
+    );
+    assert_eq!(
+        doctor_on(&bin, None, false).verdict(),
+        DoctorVerdict::Healthy
+    );
+
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.load_bins(&bin).unwrap();
+    let report = irm.build(w.project()).unwrap();
+    assert_eq!(report.recompiled.len(), 1, "{:?}", report.recompiled);
+    assert!(report.was_recompiled(&victim));
+    std::fs::remove_dir_all(&bin).ok();
+}
+
+/// An unreadable delta is a finding too: its units fall back to their
+/// base bodies (stale, so a build recompiles them), and `--fix` folds the
+/// base alone into a fresh compacted base.
+#[test]
+fn unreadable_delta_is_folded_away_by_fix() {
+    let bin = temp("deltagarbage");
+    let (w, edited) = workload_with_delta(&bin);
+    let delta_path = MergedPack::open(&bin)
+        .unwrap()
+        .unwrap()
+        .delta()
+        .unwrap()
+        .path()
+        .to_path_buf();
+    std::fs::write(&delta_path, b"SMLSPAK2 then garbage, no footer").unwrap();
+
+    // A build over it degrades, never fails.
+    let mut irm = Irm::new(Strategy::Cutoff);
+    let outcome = irm.load_bins(&bin).unwrap();
+    assert_eq!(outcome.corrupt.len(), 1, "{:?}", outcome.corrupt);
+    let report = irm.build(w.project()).unwrap();
+    let mut rebuilt: Vec<String> = report.recompiled.iter().map(|s| s.to_string()).collect();
+    rebuilt.sort();
+    assert_eq!(rebuilt, edited.to_vec());
+
+    let report = doctor_on(&bin, None, false);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.state == "pack" && f.issue.contains("unreadable delta")),
+        "{}",
+        report.to_json()
+    );
+    let report = doctor_on(&bin, None, true);
+    assert_eq!(
+        report.verdict(),
+        DoctorVerdict::Repaired,
+        "{}",
+        report.to_json()
+    );
+    assert!(!delta_path.exists());
+    assert_merged_verifies(&bin, 200, "the base keeps every unit");
+    assert_eq!(
+        doctor_on(&bin, None, false).verdict(),
+        DoctorVerdict::Healthy
+    );
+    std::fs::remove_dir_all(&bin).ok();
+}
+
+/// A delta bound to no current base (left behind when a compaction was
+/// cut between renaming the new base and deleting the old delta) is
+/// ignored by loads, reported by the doctor, and deleted by `--fix`; the
+/// live delta is kept.
+#[test]
+fn stale_delta_is_reported_and_deleted_by_fix() {
+    let bin = temp("deltastale");
+    let (w, edited) = workload_with_delta(&bin);
+    let live = pack::delta_files(&bin);
+    assert_eq!(live.len(), 1);
+    let stale = bin.join(pack::delta_file_name(Pid::from_raw(1)));
+    std::fs::copy(&live[0], &stale).unwrap();
+
+    let report = doctor_on(&bin, None, false);
+    assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
+    let pack_findings: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.state == "pack")
+        .collect();
+    assert_eq!(pack_findings.len(), 1, "{}", report.to_json());
+    assert!(pack_findings[0].issue.contains("stale delta"));
+    let report = doctor_on(&bin, None, true);
+    assert_eq!(
+        report.verdict(),
+        DoctorVerdict::Repaired,
+        "{}",
+        report.to_json()
+    );
+    assert!(!stale.exists(), "stale delta deleted");
+    assert_eq!(pack::delta_files(&bin), live, "live delta kept");
+    assert_eq!(
+        doctor_on(&bin, None, false).verdict(),
+        DoctorVerdict::Healthy
+    );
+
+    // The live delta still serves both edits: a warm build is a no-op.
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.load_bins(&bin).unwrap();
+    let report = irm.build(w.project()).unwrap();
+    assert!(
+        report.recompiled.is_empty(),
+        "{edited:?}: {:?}",
+        report.recompiled
+    );
     std::fs::remove_dir_all(&bin).ok();
 }
 

@@ -46,6 +46,15 @@ fn export_pids(irm: &Irm) -> Vec<(String, Pid)> {
     pids
 }
 
+/// Holds the process-wide fault gate, with an empty plan, for the rest of
+/// the test.  Fault plans are process-global, so without it a save of a
+/// unit named `mid` here could fire the `bin.save=torn(mid)` rule of
+/// `torn_archive_body_quarantines_only_the_affected_unit` whenever the
+/// two tests run concurrently.
+fn no_foreign_faults() -> smlsc_faults::ScopedFaults {
+    install_scoped(FaultPlan::default())
+}
+
 /// A torn body inside `bins.pack` — written under the *true* digest, so
 /// the index loads cleanly — is caught on first use and quarantines
 /// exactly the affected unit; everything else still links from the
@@ -94,6 +103,7 @@ fn torn_archive_body_quarantines_only_the_affected_unit() {
 /// report; the build degrades to a full recompile and matches clean.
 #[test]
 fn corrupt_archive_index_degrades_to_full_recompile() {
+    let _faults = no_foreign_faults();
     let p = project();
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&p).unwrap();
@@ -154,6 +164,7 @@ fn transcribe_to_v1(v2_pack: &Path, v1_pack: &Path, mutate: impl Fn(&str, &mut V
 /// even a save with nothing newly compiled.
 #[test]
 fn legacy_v1_archive_loads_builds_warm_and_is_rewritten_as_v2() {
+    let _faults = no_foreign_faults();
     use smlsc_core::pack::PACK_FILE;
     let base = temp_dir("v1-migrate");
     let p = project();
@@ -201,6 +212,7 @@ fn legacy_v1_archive_loads_builds_warm_and_is_rewritten_as_v2() {
 /// archive.
 #[test]
 fn torn_v1_body_quarantines_and_upgrade_save_heals() {
+    let _faults = no_foreign_faults();
     use smlsc_core::pack::PACK_FILE;
     let base = temp_dir("v1-torn");
     let p = project();
@@ -253,6 +265,7 @@ fn torn_v1_body_quarantines_and_upgrade_save_heals() {
 /// work while `rehydrate.allocs` stays zero.
 #[test]
 fn noop_warm_build_is_binary_end_to_end_and_allocation_free() {
+    let _faults = no_foreign_faults();
     use smlsc_core::pack::PACK_FILE;
     let base = temp_dir("zero-json");
     let src = base.join("src");
@@ -523,4 +536,103 @@ proptest! {
         }
         std::fs::remove_dir_all(&base).ok();
     }
+}
+
+/// The save after a one-leaf body edit is O(edit): it writes a delta
+/// holding exactly the recompiled unit, so `irm.bin_bytes_written` is
+/// that unit's serialized body length and the base is never rewritten
+/// (`pack.compactions` stays 0).  A fresh session then sees the edit
+/// through the merged base ⊕ delta view and reuses everything.
+#[test]
+fn leaf_edit_saves_exactly_its_body_as_a_delta() {
+    use smlsc_core::pack::{MergedPack, PACK_FILE};
+    let bins = temp_dir("delta-exact");
+    let units = 200;
+    let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units,
+        seed: 5,
+    }));
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(w.project()).unwrap();
+    irm.save_bins(&bins).unwrap();
+    let base_before = std::fs::read(bins.join(PACK_FILE)).unwrap();
+
+    let leaf = w.leaf_consumer().expect("a unit nothing imports");
+    let name = module_name(leaf);
+    w.edit(leaf, EditKind::BodyOnly);
+    let collector = trace::Collector::new();
+    collector.install();
+    let report = irm.build(w.project()).unwrap();
+    irm.save_bins(&bins).unwrap();
+    trace::uninstall();
+    assert_eq!(report.recompiled.len(), 1, "{:?}", report.recompiled);
+    let body_len = irm.bin(&name).unwrap().to_bytes().len() as u64;
+    assert_eq!(
+        collector.counter(trace::names::BIN_BYTES_WRITTEN),
+        body_len,
+        "the save wrote exactly the edited unit's body"
+    );
+    assert_eq!(collector.counter(trace::names::PACK_COMPACTIONS), 0);
+    assert_eq!(
+        std::fs::read(bins.join(PACK_FILE)).unwrap(),
+        base_before,
+        "the base is untouched"
+    );
+
+    let merged = MergedPack::open(&bins).unwrap().unwrap();
+    let delta = merged.delta().expect("the edit went to a delta");
+    assert_eq!(delta.entries().len(), 1);
+    assert_eq!(delta.entries()[0].name.as_str(), name);
+    assert_eq!(delta.entries()[0].len, body_len);
+
+    let mut warm = Irm::new(Strategy::Cutoff);
+    let outcome = warm.load_bins(&bins).unwrap();
+    assert_eq!(outcome.loaded, units, "{:?}", outcome.corrupt);
+    assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
+    let report = warm.build(w.project()).unwrap();
+    assert!(report.recompiled.is_empty(), "{:?}", report.recompiled);
+    assert_eq!(
+        warm.bin_meta(&name).unwrap().source_pid,
+        irm.bin_meta(&name).unwrap().source_pid
+    );
+
+    // A second leaf edit in that fresh session: the new delta carries
+    // the first edit's body over, copied raw from the old delta, beside
+    // the fresh compile.  Still no compaction.
+    let (first, first_len) = (name, body_len);
+    let second_ix = (0..units)
+        .find(|&i| i != leaf && !w.deps().iter().any(|d| d.contains(&i)))
+        .expect("a second leaf");
+    let second = module_name(second_ix);
+    w.edit(second_ix, EditKind::BodyOnly);
+    let collector = trace::Collector::new();
+    collector.install();
+    let report = warm.build(w.project()).unwrap();
+    warm.save_bins(&bins).unwrap();
+    trace::uninstall();
+    assert_eq!(report.recompiled.len(), 1, "{:?}", report.recompiled);
+    let second_len = warm.bin(&second).unwrap().to_bytes().len() as u64;
+    assert_eq!(
+        collector.counter(trace::names::BIN_BYTES_WRITTEN),
+        first_len + second_len
+    );
+    assert_eq!(collector.counter(trace::names::PACK_COMPACTIONS), 0);
+    let merged = MergedPack::open(&bins).unwrap().unwrap();
+    let mut in_delta: Vec<&str> = merged
+        .delta()
+        .unwrap()
+        .entries()
+        .iter()
+        .map(|e| e.name.as_str())
+        .collect();
+    in_delta.sort_unstable();
+    let mut want = [first.as_str(), second.as_str()];
+    want.sort_unstable();
+    assert_eq!(in_delta, want);
+
+    let mut third = Irm::new(Strategy::Cutoff);
+    assert_eq!(third.load_bins(&bins).unwrap().loaded, units);
+    let report = third.build(w.project()).unwrap();
+    assert!(report.recompiled.is_empty(), "{:?}", report.recompiled);
+    std::fs::remove_dir_all(&bins).ok();
 }
