@@ -4,32 +4,42 @@
 //! order plus each unit's deduplicated import list — before it can
 //! schedule anything.  Deriving it costs a full export-map construction,
 //! an import-name resolution per unit, and a DFS over the whole
-//! project: all linear-or-worse work that a no-op build repeats every
-//! cold process even though nothing changed.
+//! project: all linear-or-worse work that a build repeats every cold
+//! process even though the graph did not change.
 //!
 //! [`DepGraph`] makes that derivation persistent.  After a build the
 //! graph is serialized next to `bins.pack` (same digest-checked-payload
 //! discipline, same tmp+fsync+rename publication); the next cold
 //! process rehydrates it with one sequential read and *no* per-unit
-//! name resolution.  Staleness is decided by the existing pid ladder:
-//! the sidecar records each unit's `deps_pid` (token-stream digest),
-//! and the graph is current iff every unit's recorded pid matches its
-//! fresh analysis — imports and exports are functions of the token
-//! stream, so equal pids imply an identical graph.  Any mismatch,
-//! missing file, or corruption silently falls back to re-deriving from
-//! analyses (`deps.pack_misses` counts it); a torn sidecar can cost
-//! time, never correctness.
+//! name resolution.
+//!
+//! # Keyed on the shape pid
+//!
+//! The paper's dependency analysis (§8) reads only import and export
+//! names, and so does the graph: the export map, import resolution and
+//! the topological order are functions of the unit set plus each unit's
+//! imports and exports, nothing else.  The sidecar therefore records
+//! each unit's **shape pid** ([`crate::stamps::Analysis::shape_pid`]: a
+//! digest of its sorted imports plus its exports), and the graph is
+//! current iff the unit set is the same slot by slot and every unit's
+//! shape pid matches its fresh analysis.  A body or comment edit —
+//! every edit that leaves a unit's imports and exports alone — keeps
+//! the graph, even though it changes the unit's token digest.  A rename,
+//! addition or removal fails the per-slot unit-name check.  Any
+//! mismatch, missing file, or corruption silently falls back to
+//! re-deriving from analyses (`deps.pack_misses` counts it); a torn
+//! sidecar can cost time, never correctness.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! magic "SMLSDEP1" (8 bytes)
 //! payload:
-//!   u32 format version (1)
+//!   u32 format version (2)
 //!   u32 unit count
 //!   per unit, in topological order:
 //!     str  unit name
-//!     u128 deps pid (token digest at save time)
+//!     u128 shape pid (import/export digest at save time)
 //!     u32  import count, then that many u32 topological slot indices
 //! u128 digest of payload (little-endian)
 //! ```
@@ -37,7 +47,8 @@
 //! Import edges are stored as indices into the record table itself, so
 //! loading performs zero hash lookups per edge; the topological
 //! invariant (every import index precedes its importer) is validated on
-//! load and doubles as a structural corruption check.
+//! load and doubles as a structural corruption check.  A sidecar of
+//! another version (version 1 keyed on token digests) reads as absent.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -58,27 +69,27 @@ pub const DEPS_MAGIC: &[u8; 8] = b"SMLSDEP1";
 
 /// Bumped whenever the payload layout changes; older versions are
 /// treated as absent (rebuilt from analyses), never migrated.
-pub const DEPS_VERSION: u32 = 1;
+pub const DEPS_VERSION: u32 = 2;
 
 /// The resolved import DAG: topological order, per-unit deduplicated
-/// import lists (as names and as topological indices), and the
-/// `deps_pid` each unit had when the graph was derived.
+/// import lists (as names and as topological indices), and the shape
+/// pid each unit had when the graph was derived.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     order: Vec<Symbol>,
-    deps_pids: Vec<Pid>,
+    shape_pids: Vec<Pid>,
     import_units: Vec<Vec<Symbol>>,
     import_idx: Vec<Vec<usize>>,
     index_of: HashMap<Symbol, usize>,
 }
 
 impl DepGraph {
-    /// Assembles a graph from a topological order, per-slot deps pids,
+    /// Assembles a graph from a topological order, per-slot shape pids,
     /// and per-slot import indices (each index must point to an earlier
     /// slot).  The name-level import lists and the reverse index are
     /// derived here so every construction path agrees on them.
-    pub fn new(order: Vec<Symbol>, deps_pids: Vec<Pid>, import_idx: Vec<Vec<usize>>) -> DepGraph {
-        debug_assert_eq!(order.len(), deps_pids.len());
+    pub fn new(order: Vec<Symbol>, shape_pids: Vec<Pid>, import_idx: Vec<Vec<usize>>) -> DepGraph {
+        debug_assert_eq!(order.len(), shape_pids.len());
         debug_assert_eq!(order.len(), import_idx.len());
         let import_units = import_idx
             .iter()
@@ -87,7 +98,7 @@ impl DepGraph {
         let index_of = order.iter().enumerate().map(|(i, &u)| (u, i)).collect();
         DepGraph {
             order,
-            deps_pids,
+            shape_pids,
             import_units,
             import_idx,
             index_of,
@@ -114,9 +125,9 @@ impl DepGraph {
         self.index_of.get(&unit).copied()
     }
 
-    /// The `deps_pid` recorded for topological slot `i`.
-    pub fn deps_pid(&self, i: usize) -> Pid {
-        self.deps_pids[i]
+    /// The shape pid recorded for topological slot `i`.
+    pub fn shape_pid(&self, i: usize) -> Pid {
+        self.shape_pids[i]
     }
 
     /// The deduplicated import units of topological slot `i`.
@@ -146,7 +157,7 @@ impl DepGraph {
         w.u32(self.order.len() as u32);
         for i in 0..self.order.len() {
             w.str(self.order[i].as_str());
-            w.u128(self.deps_pids[i].as_raw());
+            w.u128(self.shape_pids[i].as_raw());
             w.u32(self.import_idx[i].len() as u32);
             for &j in &self.import_idx[i] {
                 w.u32(j as u32);
@@ -214,11 +225,11 @@ impl DepGraph {
             return Err(format!("implausible unit count {n}"));
         }
         let mut order = Vec::with_capacity(n);
-        let mut deps_pids = Vec::with_capacity(n);
+        let mut shape_pids = Vec::with_capacity(n);
         let mut import_idx = Vec::with_capacity(n);
         for i in 0..n {
             order.push(Symbol::intern(r.str_ref().map_err(bad)?));
-            deps_pids.push(Pid::from_raw(r.u128().map_err(bad)?));
+            shape_pids.push(Pid::from_raw(r.u128().map_err(bad)?));
             let m = r.u32().map_err(bad)? as usize;
             if m > payload.len() {
                 return Err(format!("implausible import count {m}"));
@@ -236,7 +247,7 @@ impl DepGraph {
         if !r.at_end() {
             return Err("trailing bytes after last record".into());
         }
-        let g = DepGraph::new(order, deps_pids, import_idx);
+        let g = DepGraph::new(order, shape_pids, import_idx);
         if g.index_of.len() != g.order.len() {
             return Err("duplicate unit names".into());
         }
@@ -300,7 +311,7 @@ mod tests {
         assert_eq!(back.order(), g.order());
         assert_eq!(back.edge_count(), 3);
         assert_eq!(back.import_units(2), &[g.order()[0], g.order()[1]]);
-        assert_eq!(back.deps_pid(1), g.deps_pid(1));
+        assert_eq!(back.shape_pid(1), g.shape_pid(1));
         assert_eq!(back.index_of(Symbol::intern("C")), Some(2));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -337,7 +348,7 @@ mod tests {
         let b = Symbol::intern("B");
         let bogus = DepGraph {
             order: vec![a, b],
-            deps_pids: vec![Pid::of_bytes(b"a"), Pid::of_bytes(b"b")],
+            shape_pids: vec![Pid::of_bytes(b"a"), Pid::of_bytes(b"b")],
             import_units: vec![vec![b], vec![]],
             import_idx: vec![vec![1], vec![]],
             index_of: [(a, 0), (b, 1)].into_iter().collect(),

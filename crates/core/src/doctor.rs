@@ -13,6 +13,8 @@
 //! | state                 | audit                                  | repair                         |
 //! |-----------------------|----------------------------------------|--------------------------------|
 //! | `stamps.json`         | magic + digest + decode                | delete (stamps are hints)      |
+//! | `stamps-<digest>.delta` | as `stamps.json`, when bound to it   | delete (stamps are hints)      |
+//! | stale stamps delta    | bound to no current `stamps.json`      | delete                         |
 //! | `bins.pack`           | index decode, per-body digest          | rewrite keeping valid bodies   |
 //! | `bins-<digest>.delta` | as `bins.pack`, when bound to it       | fold into one compacted base   |
 //! | stale delta           | bound to no current base               | delete                         |
@@ -230,14 +232,34 @@ fn apply_fix(
     f
 }
 
-/// Stamps are pure hints: a corrupt file is simply deleted and the
-/// next build re-digests every source the cold way.
+/// Stamps are pure hints: a corrupt base or delta is simply deleted and
+/// the next build re-digests the sources it covered the cold way.  A
+/// delta bound to no current base (the base is absent, corrupt, or was
+/// rewritten since) is stale and deleted too.
 fn audit_stamps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     let path = bin_dir.join("stamps.json");
-    if let Some(Err(reason)) = StampCache::audit(&path) {
-        let f = finding("stamps", &path, reason, "delete corrupt stamp file");
+    let mut live_delta = None;
+    match StampCache::audit(&path) {
+        Some(Err(reason)) => {
+            let f = finding("stamps", &path, reason, "delete corrupt stamp file");
+            findings.push(apply_fix(f, fix, || {
+                std::fs::remove_file(&path).map_err(|e| e.to_string())
+            }));
+        }
+        Some(Ok(base)) => live_delta = base.digest.map(|d| StampCache::delta_path(&path, d)),
+        None => {}
+    }
+    for delta in StampCache::delta_files(&path) {
+        let issue = if Some(&delta) != live_delta.as_ref() {
+            "stale delta: bound to no current stamps.json".to_string()
+        } else if let Some(Err(reason)) = StampCache::audit(&delta) {
+            reason
+        } else {
+            continue;
+        };
+        let f = finding("stamps", &delta, issue, "delete stamp delta");
         findings.push(apply_fix(f, fix, || {
-            std::fs::remove_file(&path).map_err(|e| e.to_string())
+            std::fs::remove_file(&delta).map_err(|e| e.to_string())
         }));
     }
 }
@@ -607,6 +629,61 @@ mod tests {
         assert_eq!(clean.verdict(), DoctorVerdict::Healthy);
         assert!(!dir.join("daemon.lock").exists());
         assert!(!dir.join("daemon.sock").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_and_stale_stamp_deltas_are_deleted_by_fix() {
+        use crate::stamps::{Analysis, StampEntry};
+        use smlsc_ids::{Pid, Symbol};
+        use std::sync::Arc;
+        // Hold the fault gate: the `fsutil` tests inject `stamp.save`
+        // faults process-wide.
+        let _faults = smlsc_faults::install_scoped(smlsc_faults::FaultPlan::default());
+        let dir = temp("stamp-delta");
+        let path = dir.join("stamps.json");
+        let entry = |unit: &str, mtime: u64| StampEntry {
+            unit: Symbol::intern(unit),
+            mtime_ns: mtime,
+            size: 1,
+            analysis: Arc::new(Analysis::new(
+                Pid::of_bytes(b"s"),
+                Pid::of_bytes(b"t"),
+                vec![],
+                vec![],
+            )),
+        };
+        let mut c = StampCache::new();
+        for i in 0..200 {
+            c.record("/p/", &format!("u{i}.sml"), entry(&format!("u{i}"), i));
+        }
+        c.save(&path).unwrap();
+        c.record("/p/", "u1.sml", entry("u1", 500));
+        c.save(&path).unwrap();
+        let live = StampCache::delta_files(&path);
+        assert_eq!(live.len(), 1, "the edit was saved as a delta");
+        assert_eq!(run(&opts(&dir, false)).verdict(), DoctorVerdict::Healthy);
+
+        let mut bytes = std::fs::read(&live[0]).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&live[0], &bytes).unwrap();
+        let stale = dir.join(fsutil::delta_file_name("stamps", Pid::from_raw(3)));
+        std::fs::write(&stale, b"SMLSSTM2").unwrap();
+        let report = run(&opts(&dir, false));
+        assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
+        let stamp_findings: Vec<&DoctorFinding> = report
+            .findings
+            .iter()
+            .filter(|f| f.state == "stamps")
+            .collect();
+        assert_eq!(stamp_findings.len(), 2, "{stamp_findings:?}");
+        assert!(stamp_findings.iter().any(|f| f.issue.contains("stale")));
+
+        assert_eq!(run(&opts(&dir, true)).verdict(), DoctorVerdict::Repaired);
+        assert!(StampCache::delta_files(&path).is_empty());
+        assert!(path.is_file(), "the sound base is kept");
+        assert_eq!(run(&opts(&dir, false)).verdict(), DoctorVerdict::Healthy);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,12 +20,28 @@
 //!   synced) — so the crash-recovery harness can kill the process in
 //!   each distinct half-finished state and prove the next build
 //!   recovers.
+//! * **Base + delta binding.**  A state file that is saved often but
+//!   changes a little each time (`bins.pack`, `stamps.json`) keeps a
+//!   full **base** and at most one small **delta** beside it, named
+//!   `<stem>-<32 hex>.delta` after a digest of the base
+//!   (`delta_file_name`).  The name binds the delta to exactly one
+//!   base with no header field: a delta whose name does not match the
+//!   current base is stale, ignored by loads and deleted by the next
+//!   save (`sweep_superseded`).  A delta may hold at most
+//!   1/[`DELTA_CAP_DIVISOR`] of its base; a save that would pass that
+//!   compacts back into the base instead.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smlsc_faults::{self as faults, FaultKind};
+use smlsc_ids::Pid;
+
+/// A delta may hold at most `1 / DELTA_CAP_DIVISOR` of its base's
+/// length; a save that would exceed that compacts instead, so the dead
+/// bytes a state directory carries stay below 1.6 % of the base.
+pub const DELTA_CAP_DIVISOR: u64 = 64;
 
 /// Process-global staging counter: tmp names stay unique even when two
 /// threads of one process save the same destination concurrently.
@@ -107,6 +123,66 @@ pub fn commit_atomic(path: &Path, bytes: &[u8], point: &'static str) -> io::Resu
     Ok(())
 }
 
+/// The file name of the `stem` delta bound to the base whose digest is
+/// `base_digest`: `<stem>-<32 hex>.delta`.
+pub(crate) fn delta_file_name(stem: &str, base_digest: Pid) -> String {
+    format!("{stem}-{base_digest}.delta")
+}
+
+/// True when `name` has the shape of a `stem` delta file name, whichever
+/// base it is bound to.
+pub(crate) fn is_delta_file_name(stem: &str, name: &str) -> bool {
+    name.strip_prefix(stem)
+        .and_then(|rest| rest.strip_prefix('-'))
+        .and_then(|rest| rest.strip_suffix(".delta"))
+        .is_some_and(|hex| hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+}
+
+/// Every `stem` delta in `dir`, bound to the current base or not, sorted.
+pub(crate) fn delta_files(dir: &Path, stem: &str) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter(|e| {
+                    e.file_name()
+                        .to_str()
+                        .is_some_and(|n| is_delta_file_name(stem, n))
+                })
+                .map(|e| e.path())
+                .collect()
+        })
+        .unwrap_or_default();
+    out.sort();
+    out
+}
+
+/// Deletes what a just-written base or delta supersedes: every `stem`
+/// delta in `dir` other than `keep`, plus any file `also_dead` names.
+/// Best effort: a file that cannot be removed is only dead weight, since
+/// loads never open a delta bound to another base.
+pub(crate) fn sweep_superseded(
+    dir: &Path,
+    stem: &str,
+    keep: Option<&Path>,
+    also_dead: impl Fn(&Path) -> bool,
+) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let p = entry.path();
+        let dead_delta = entry
+            .file_name()
+            .to_str()
+            .is_some_and(|n| is_delta_file_name(stem, n))
+            && keep != Some(p.as_path());
+        if dead_delta || also_dead(&p) {
+            std::fs::remove_file(&p).ok();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +197,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn delta_names_bind_a_stem_to_one_base() {
+        let name = delta_file_name("stamps", Pid::from_raw(7));
+        assert!(is_delta_file_name("stamps", &name));
+        assert!(!is_delta_file_name("bins", &name), "stems never mix");
+        assert!(!is_delta_file_name("stamps", "stamps-7.delta"));
+        assert!(!is_delta_file_name("stamps", "stamps.json"));
+
+        let dir = temp("sweep");
+        let keep = dir.join(delta_file_name("stamps", Pid::from_raw(1)));
+        let stale = dir.join(delta_file_name("stamps", Pid::from_raw(2)));
+        let other = dir.join(delta_file_name("bins", Pid::from_raw(2)));
+        for p in [&keep, &stale, &other] {
+            std::fs::write(p, b"x").unwrap();
+        }
+        assert_eq!(delta_files(&dir, "stamps").len(), 2);
+        sweep_superseded(&dir, "stamps", Some(&keep), |_| false);
+        assert_eq!(delta_files(&dir, "stamps"), vec![keep.clone()]);
+        assert!(other.is_file(), "another stem's delta is not swept");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -85,10 +85,11 @@ use smlsc_trace::{self as trace, names, RebuildDecision};
 
 use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
 use crate::depgraph::{self, DepGraph};
+use crate::fsutil;
 use crate::link::{link_and_execute, DynEnv};
 use crate::pack::{
-    self, delta_file_name, entry_len_bound, is_delta_file_name, PackReader, PackWriter,
-    DELTA_CAP_DIVISOR, EMPTY_PACK_LEN, PACK_FILE, PACK_VERSION,
+    self, delta_file_name, entry_len_bound, PackReader, PackWriter, DELTA_CAP_DIVISOR,
+    EMPTY_PACK_LEN, PACK_FILE, PACK_VERSION,
 };
 use crate::stamps::{StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
@@ -107,6 +108,11 @@ pub enum SourceText {
     Lazy {
         /// The file to read.
         path: PathBuf,
+        /// The canonical form of `path`'s directory, ending in a
+        /// separator: with the file name, the stamp-cache key, however
+        /// `path` was spelled.  Shared by every file of one scan (a thin
+        /// pointer, to keep per-file memory flat).
+        dir: Arc<String>,
         /// Its size in bytes at stat time (a stamp-cache key component).
         size: u64,
         /// The cached read result, shared across project clones.
@@ -186,6 +192,28 @@ impl SourceFile {
             SourceText::Lazy { path, .. } => Some(path),
         }
     }
+
+    /// The stamp-cache key of a lazy file, as its canonical directory
+    /// and its file name, so every spelling of the project directory
+    /// shares one stamp.  `None` for inline text and for a file name
+    /// that is not UTF-8 (such a file is simply never stamped).
+    pub fn stamp_key(&self) -> Option<(&str, &str)> {
+        match &self.text {
+            SourceText::Inline(_) => None,
+            SourceText::Lazy { path, dir, .. } => Some((dir, path.file_name()?.to_str()?)),
+        }
+    }
+}
+
+/// `dir` canonicalized, as a string ending in a separator; `dir` as
+/// spelled when it cannot be resolved.
+fn canonical_dir(dir: &Path) -> Arc<String> {
+    let dir = std::fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf());
+    let mut s = dir.to_string_lossy().into_owned();
+    if !s.ends_with(std::path::MAIN_SEPARATOR) {
+        s.push(std::path::MAIN_SEPARATOR);
+    }
+    Arc::new(s)
 }
 
 static CLOCK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -287,12 +315,29 @@ impl Project {
         mtime_ns: u64,
         size: u64,
     ) {
+        let path = path.into();
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        let dir = canonical_dir(dir.unwrap_or(Path::new(".")));
+        self.add_lazy_in(name.into(), path, dir, mtime_ns, size);
+    }
+
+    /// [`Project::add_lazy`] for a file whose canonical directory is
+    /// already known.
+    fn add_lazy_in(
+        &mut self,
+        name: String,
+        path: PathBuf,
+        dir: Arc<String>,
+        mtime_ns: u64,
+        size: u64,
+    ) {
         observe(mtime_ns);
-        let name = Symbol::intern(&name.into());
+        let name = Symbol::intern(&name);
         self.upsert(SourceFile {
             name,
             text: SourceText::Lazy {
-                path: path.into(),
+                path,
+                dir,
                 size,
                 cell: Arc::new(OnceLock::new()),
             },
@@ -304,7 +349,9 @@ impl Project {
     /// sources: each file is stat'ed (mtime, size) but not read.  A
     /// warm build against a stamp cache then decides everything from
     /// stats alone and never opens a source file.  Files are sorted by
-    /// unit name for deterministic ordering.
+    /// unit name for deterministic ordering.  `dir` is canonicalized
+    /// once, for the stamp keys; each file's path keeps the spelling
+    /// given here.
     ///
     /// # Errors
     ///
@@ -335,9 +382,10 @@ impl Project {
             files.push((stem.to_string(), path, mtime_ns, meta.len()));
         }
         files.sort_by(|a, b| a.0.cmp(&b.0));
+        let root = canonical_dir(dir);
         let mut p = Project::new();
         for (stem, path, mtime_ns, size) in files {
-            p.add_lazy(stem, path, mtime_ns, size);
+            p.add_lazy_in(stem, path, Arc::clone(&root), mtime_ns, size);
         }
         Ok(p)
     }
@@ -697,7 +745,7 @@ pub struct Irm {
     pack_synced: bool,
     /// The resolved import DAG from the previous build or the
     /// `deps.pack` sidecar.  Never trusted blindly: every build
-    /// revalidates it against fresh analyses (per-unit `deps_pid`)
+    /// revalidates it against fresh analyses (per-unit shape pid)
     /// before reuse, so a stale or torn sidecar costs a re-derivation,
     /// never a wrong schedule.
     graph: Option<Arc<DepGraph>>,
@@ -756,9 +804,8 @@ fn analyze_one(
     // Rung 1: the stamp cache.  Path-backed files whose (unit, mtime,
     // size) stamp matches reuse the recorded analysis without a read.
     if !paranoid {
-        if let Some(path) = f.path() {
-            let key = path.to_string_lossy();
-            if let Some(e) = stamps.lookup(&key, f.name, f.mtime, f.size()) {
+        if let Some((dir, name)) = f.stamp_key() {
+            if let Some(e) = stamps.lookup(dir, name, f.name, f.mtime, f.size()) {
                 // The stamp cache shares its analysis by Arc: a hit is
                 // a refcount bump, never a clone of the vectors.
                 return Ok(FileAnalysis {
@@ -779,7 +826,7 @@ fn analyze_one(
             });
         }
         // Rung 3: by token digest — a comment or whitespace edit keeps
-        // the token stream (hence imports/exports) identical.
+        // the token stream (hence imports/exports, and the shape) identical.
         if !paranoid {
             if let Some(dp) = smlsc_syntax::deps::token_pid(text) {
                 if c.deps_pid == dp {
@@ -787,6 +834,7 @@ fn analyze_one(
                         analysis: Arc::new(CachedAnalysis {
                             source_pid: sp,
                             deps_pid: dp,
+                            shape_pid: c.shape_pid,
                             imports: c.imports.clone(),
                             exports: c.exports.clone(),
                         }),
@@ -801,12 +849,7 @@ fn analyze_one(
     let a = analyze_source(f.name, text)?;
     let dp = smlsc_syntax::deps::token_pid(text).unwrap_or(sp);
     Ok(FileAnalysis {
-        analysis: Arc::new(CachedAnalysis {
-            source_pid: sp,
-            deps_pid: dp,
-            imports: a.imports,
-            exports: a.exports,
-        }),
+        analysis: Arc::new(CachedAnalysis::new(sp, dp, a.imports, a.exports)),
         hit: AnalysisHit::Fresh,
     })
 }
@@ -903,12 +946,14 @@ impl Irm {
         self.stamps = StampCache::load(path);
     }
 
-    /// Persists the stamp cache to `path` (atomic; no-op when clean).
+    /// Persists the stamp cache to `path`: a delta of what was recorded
+    /// since the base, or a compacted base (atomic; no-op when clean).
     ///
     /// # Errors
     ///
     /// [`CoreError::Io`] on filesystem failures.
     pub fn save_stamps(&mut self, path: &Path) -> Result<(), CoreError> {
+        let _span = trace::span(names::SPAN_SAVE_STAMPS);
         self.stamps.save(path)
     }
 
@@ -1426,12 +1471,13 @@ impl Irm {
     }
 
     /// The resolved import DAG for this build.  Reused from the
-    /// previous build or the `deps.pack` sidecar whenever every unit's
-    /// `deps_pid` still matches its fresh analysis — imports and
-    /// exports are functions of the token stream, so equal pids imply
-    /// the identical graph *and* the identical topological order.
-    /// Anything else (first build, edited interface, added or removed
-    /// unit, stale or torn sidecar) re-derives from the analyses.
+    /// previous build or the `deps.pack` sidecar whenever the unit set
+    /// is unchanged and every unit's shape pid still matches its fresh
+    /// analysis — the graph reads nothing but imports and exports, so
+    /// equal shapes imply the identical graph *and* the identical
+    /// topological order, whatever the bodies did.  Anything else
+    /// (first build, changed imports or exports, added or removed unit,
+    /// stale or torn sidecar) re-derives from the analyses.
     fn dep_graph(
         &mut self,
         project: &Project,
@@ -1449,11 +1495,11 @@ impl Irm {
         let order = topo_order(project, analyses, &exporters)?;
         let index_of: HashMap<Symbol, usize> =
             order.iter().enumerate().map(|(i, s)| (*s, i)).collect();
-        let mut deps_pids = Vec::with_capacity(order.len());
+        let mut shape_pids = Vec::with_capacity(order.len());
         let mut import_idx = Vec::with_capacity(order.len());
         for name in &order {
             let a = &analyses[name];
-            deps_pids.push(a.deps_pid);
+            shape_pids.push(a.shape_pid);
             let units: Vec<Symbol> = a
                 .imports
                 .iter()
@@ -1462,7 +1508,7 @@ impl Irm {
                 .dedup_stable();
             import_idx.push(units.iter().map(|u| index_of[u]).collect());
         }
-        let g = Arc::new(DepGraph::new(order, deps_pids, import_idx));
+        let g = Arc::new(DepGraph::new(order, shape_pids, import_idx));
         self.graph = Some(Arc::clone(&g));
         self.graph_synced = false;
         Ok(g)
@@ -1588,6 +1634,7 @@ impl Irm {
         let mut out = HashMap::with_capacity(files.len());
         self.deps_cache
             .reserve(files.len().saturating_sub(self.deps_cache.len()));
+        let mut stamped_files = 0;
         for (f, r) in files.iter().zip(results) {
             let fa = r?;
             let stamped = !self.paranoid && f.path().is_some();
@@ -1609,10 +1656,12 @@ impl Irm {
             // A stamp hit *is* the recorded entry (same unit, mtime,
             // size, and the analysis it produced); re-recording it would
             // only clone the import/export vectors per file per build.
-            if fa.hit != AnalysisHit::Stamp {
-                if let Some(path) = f.path() {
+            if let Some((dir, name)) = f.stamp_key() {
+                stamped_files += 1;
+                if fa.hit != AnalysisHit::Stamp {
                     self.stamps.record(
-                        path.to_string_lossy().into_owned(),
+                        dir,
+                        name,
                         StampEntry {
                             unit: f.name,
                             mtime_ns: f.mtime,
@@ -1624,6 +1673,16 @@ impl Irm {
             }
             self.deps_cache.insert(f.name, Arc::clone(&fa.analysis));
             out.insert(f.name, fa.analysis);
+        }
+        // Every stamped file now has exactly one entry, so any surplus is
+        // an entry for a file the project no longer has (renamed or
+        // removed): drop those, which makes the next save compact them
+        // out of the base.  A project with no files on disk (all inline)
+        // says nothing about which stamps are dead.
+        if stamped_files > 0 && self.stamps.len() > stamped_files {
+            let live: HashSet<(&str, &str)> =
+                files.iter().filter_map(SourceFile::stamp_key).collect();
+            self.stamps.retain(|dir, name| live.contains(&(dir, name)));
         }
         Ok(out)
     }
@@ -2612,16 +2671,17 @@ fn synthesize_reused(report: &mut BuildReport, name: Symbol) {
 }
 
 /// True when `g` still describes exactly this set of analyses: same
-/// unit set, and every unit's token digest unchanged.  Imports and
-/// exports are functions of the token stream, so equal `deps_pid`s
-/// imply the same export map, the same resolved imports, and (the
-/// derivation being deterministic) the same topological order.
+/// unit set, and every unit's shape pid unchanged.  [`exporters`] and
+/// [`topo_order`] read only the unit set, imports and exports, so equal
+/// shape pids imply the same export map, the same resolved imports,
+/// and (the derivation being deterministic) the same topological order.
 fn graph_is_current(g: &DepGraph, analyses: &HashMap<Symbol, Arc<CachedAnalysis>>) -> bool {
     g.len() == analyses.len()
-        && g.order()
-            .iter()
-            .enumerate()
-            .all(|(i, u)| analyses.get(u).is_some_and(|a| a.deps_pid == g.deps_pid(i)))
+        && g.order().iter().enumerate().all(|(i, u)| {
+            analyses
+                .get(u)
+                .is_some_and(|a| a.shape_pid == g.shape_pid(i))
+        })
 }
 
 /// Records one failed unit (keep-going): counter, event, report entry.
@@ -2695,17 +2755,9 @@ fn add_body(
 /// Deletes what a just-written archive supersedes: legacy per-unit
 /// `*.bin` files, and every delta other than `keep`.
 fn sweep_superseded(dir: &Path, keep: Option<&Path>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let p = entry.path();
-        let dead_delta =
-            entry.file_name().to_str().is_some_and(is_delta_file_name) && keep != Some(p.as_path());
-        if dead_delta || p.extension().is_some_and(|e| e == "bin") {
-            std::fs::remove_file(&p).ok();
-        }
-    }
+    fsutil::sweep_superseded(dir, pack::DELTA_STEM, keep, |p| {
+        p.extension().is_some_and(|e| e == "bin")
+    });
 }
 
 fn bin_io(unit: Symbol, path: &Path, e: impl std::fmt::Display) -> CoreError {

@@ -97,10 +97,10 @@ use crate::CoreError;
 /// The archive's file name inside a bin directory.
 pub const PACK_FILE: &str = "bins.pack";
 
-/// A delta may hold at most `1 / DELTA_CAP_DIVISOR` of its base's
-/// length; a save that would exceed that compacts instead, so the dead
-/// bytes the bin directory carries stay below 1.6 % of the base.
-pub const DELTA_CAP_DIVISOR: u64 = 64;
+pub use crate::fsutil::DELTA_CAP_DIVISOR;
+
+/// The stem of the bin delta's file name (`bins-<32 hex>.delta`).
+pub(crate) const DELTA_STEM: &str = "bins";
 
 /// Current version byte after the leading magic.  Readers also accept
 /// [`LEGACY_PACK_VERSION`]; anything else rejects the pack (the units
@@ -649,15 +649,7 @@ impl Drop for PackWriter {
 /// The file name of the delta bound to a base whose index digest is
 /// `base_index_digest`: `bins-<32 hex>.delta`.
 pub fn delta_file_name(base_index_digest: Pid) -> String {
-    format!("bins-{base_index_digest}.delta")
-}
-
-/// True when `name` has the shape of a delta file name, whichever base
-/// it is bound to.
-pub(crate) fn is_delta_file_name(name: &str) -> bool {
-    name.strip_prefix("bins-")
-        .and_then(|rest| rest.strip_suffix(".delta"))
-        .is_some_and(|hex| hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+    crate::fsutil::delta_file_name(DELTA_STEM, base_index_digest)
 }
 
 /// The path of the delta bound to `base`, inside `dir`.
@@ -667,17 +659,7 @@ pub(crate) fn delta_path(dir: &Path, base: &PackReader) -> PathBuf {
 
 /// Every delta file in `dir`, bound to the current base or not, sorted.
 pub fn delta_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter(|e| e.file_name().to_str().is_some_and(is_delta_file_name))
-                .map(|e| e.path())
-                .collect()
-        })
-        .unwrap_or_default();
-    out.sort();
-    out
+    crate::fsutil::delta_files(dir, DELTA_STEM)
 }
 
 /// Opens the delta bound to `base` in `dir`.  `Ok(None)` when there is
@@ -1029,15 +1011,16 @@ mod tests {
     fn delta_names_bind_to_the_base_index_digest() {
         let name = delta_file_name(Pid::from_raw(0xabc));
         assert_eq!(name, "bins-00000000000000000000000000000abc.delta");
-        assert!(is_delta_file_name(&name));
+        let is_delta = |n: &str| crate::fsutil::is_delta_file_name(DELTA_STEM, n);
+        assert!(is_delta(&name));
         for other in ["bins.pack", "bins-abc.delta", "deps.pack", "bins-.delta"] {
-            assert!(!is_delta_file_name(other), "{other}");
+            assert!(!is_delta(other), "{other}");
         }
         // A delta's staging file is commit litter, not a delta.
         let tmp = crate::fsutil::unique_tmp(Path::new(&name));
         let tmp = tmp.file_name().unwrap().to_str().unwrap();
         assert!(crate::fsutil::is_tmp_litter(tmp), "{tmp}");
-        assert!(!is_delta_file_name(tmp), "{tmp}");
+        assert!(!is_delta(tmp), "{tmp}");
     }
 
     #[test]

@@ -511,6 +511,15 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     if opts.stats {
         println!("{}", collector.stats_json());
     }
+    // `main` exits the process as soon as this returns, so freeing the
+    // project-sized maps these values own (tens of ms at 20k units) is
+    // pure waste; like clang's `-disable-free`, leave them to the OS.
+    // None owns a destructor that must run: the saves, the ledger append
+    // and the report are done; no `LockGuard`, `PackWriter` or daemon
+    // `ServerHandle` lives in them; their pack mappings and file handles
+    // close with the process; and stdout is flushed here.
+    std::io::stdout().flush().ok();
+    std::mem::forget((irm, project, report, collector));
     exit_code
 }
 

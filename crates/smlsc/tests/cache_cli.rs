@@ -5,6 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use smlsc::core::store::{Store, LAYOUT_VERSION};
+
 fn smlsc() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_smlsc"));
     // Keep the ambient environment from leaking a store into tests
@@ -258,6 +260,46 @@ fn concurrent_cli_builds_share_one_store() {
 
     for d in [&store, &proj_a, &proj_b, &proj_c] {
         std::fs::remove_dir_all(d).ok();
+    }
+}
+
+/// First openers of a fresh store race to publish its `VERSION` file.
+/// Every one must read the whole file: an opener that saw it empty or
+/// half-written refused the store with a bogus layout-version error.
+#[test]
+fn racing_first_openers_all_accept_the_store() {
+    const OPENERS: usize = 8;
+    for round in 0..20 {
+        let root = temp(&format!("open-race-{round}"));
+        std::fs::remove_dir_all(&root).ok();
+        let gate = std::sync::Barrier::new(OPENERS);
+        std::thread::scope(|scope| {
+            let opens: Vec<_> = (0..OPENERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        Store::open(&root).map(|_| ())
+                    })
+                })
+                .collect();
+            for open in opens {
+                open.join()
+                    .unwrap()
+                    .expect("every opener accepts the store");
+            }
+        });
+        assert_eq!(
+            std::fs::read_to_string(root.join("VERSION"))
+                .unwrap()
+                .trim(),
+            LAYOUT_VERSION.to_string()
+        );
+        assert_eq!(
+            std::fs::read_dir(root.join("tmp")).unwrap().count(),
+            0,
+            "no staging litter"
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 }
 

@@ -286,6 +286,33 @@ fn crash_recovery_holds_at_monorepo_scale_n200() {
     );
 }
 
+/// The clean reference for the delta cases: a cold build of the seeded
+/// sources with one leaf edited.
+fn edited_reference(tag: &str, units: usize) -> Fingerprint {
+    let dir = temp(tag);
+    seed_project(&dir, units);
+    edit_leaf(&dir, units);
+    let out = build(&dir, None, None);
+    assert!(out.status.success(), "reference build failed: {out:?}");
+    let fp = fingerprint(&dir.join(".smlsc-bins"));
+    std::fs::remove_dir_all(&dir).ok();
+    fp
+}
+
+/// Crashes the save after a one-leaf edit with `rule(stage)` at each
+/// commit stage: a good build, the edit, then the crashing build.
+fn crash_each_stage_after_an_edit(tag: &str, units: usize, rule: impl Fn(&str) -> String) {
+    let reference_fp = edited_reference(&format!("ref-{tag}"), units);
+    for stage in ["begin", "staged", "renamed"] {
+        let proj = temp(&format!("{tag}-{stage}"));
+        seed_project(&proj, units);
+        let out = build(&proj, None, None);
+        assert!(out.status.success(), "good build failed: {out:?}");
+        edit_leaf(&proj, units);
+        crash_then_recover_in(&proj, units, &rule(stage), None, &reference_fp);
+    }
+}
+
 /// The delta save, crashed at each of its `pack.save` stages: a good
 /// build, then a one-leaf edit whose save writes only a delta
 /// (`bins-<digest>.delta`; the `bins-` filter never matches the base's
@@ -293,26 +320,23 @@ fn crash_recovery_holds_at_monorepo_scale_n200() {
 /// sources and `doctor --fix` leaves a healthy bin dir.
 #[test]
 fn crash_at_every_delta_save_stage_recovers_n200() {
-    let units = 200;
-    let reference_fp = {
-        let dir = temp("ref-delta-200");
-        seed_project(&dir, units);
-        edit_leaf(&dir, units);
-        let out = build(&dir, None, None);
-        assert!(out.status.success(), "reference build failed: {out:?}");
-        let fp = fingerprint(&dir.join(".smlsc-bins"));
-        std::fs::remove_dir_all(&dir).ok();
-        fp
-    };
-    for stage in ["begin", "staged", "renamed"] {
-        let proj = temp(&format!("delta200-{stage}"));
-        seed_project(&proj, units);
-        let out = build(&proj, None, None);
-        assert!(out.status.success(), "good build failed: {out:?}");
-        edit_leaf(&proj, units);
-        let rule = format!("pack.save=crash({stage} bins-)");
-        crash_then_recover_in(&proj, units, &rule, None, &reference_fp);
-    }
+    crash_each_stage_after_an_edit("delta200", 200, |stage| {
+        format!("pack.save=crash({stage} bins-)")
+    });
+}
+
+/// The stamp delta save, crashed at each of its `stamp.save` stages:
+/// after the one-leaf edit the stamps are saved as
+/// `stamps-<digest>.delta` (the `stamps-` filter never matches the base
+/// `stamps.json`), so the rule fires only if the save really took the
+/// delta path.  The crash leaves the base, at most a stale or
+/// unsynced delta, and tmp litter; recovery still lands on a clean
+/// build and `doctor --fix` leaves a healthy bin dir.
+#[test]
+fn crash_at_every_stamp_delta_save_stage_recovers_n200() {
+    crash_each_stage_after_an_edit("stampdelta200", 200, |stage| {
+        format!("stamp.save=crash({stage} stamps-)")
+    });
 }
 
 /// A daemon killed while writing its lockfile leaves exactly the

@@ -140,3 +140,39 @@ fn editing_one_leaf_recompiles_only_it_on_the_warm_path() {
 
     std::fs::remove_dir_all(&proj).ok();
 }
+
+/// Stamps are keyed by the canonical project directory: building `t`,
+/// then `./t`, then the absolute path (all from the parent directory)
+/// hits every stamp, reads no source, and keeps one entry per file.
+#[test]
+fn every_spelling_of_the_project_dir_shares_the_stamps() {
+    let parent = temp("spelling");
+    let proj = parent.join("t");
+    std::fs::create_dir_all(&proj).unwrap();
+    write_project(&proj);
+    let build = |spelled: &Path| {
+        let out = smlsc()
+            .args(["build", "--no-daemon", "--stats"])
+            .arg(spelled)
+            .current_dir(&parent)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        stats_line(&String::from_utf8_lossy(&out.stdout)).to_string()
+    };
+    // Two builds as `t`: the second re-stamps any file written within
+    // the first save's mtime tick (a racy stamp is dropped on load).
+    build(Path::new("t"));
+    build(Path::new("t"));
+    let absolute = std::fs::canonicalize(&proj).unwrap();
+    for spelled in [Path::new("./t"), absolute.as_path()] {
+        let json = build(spelled);
+        let ctx = spelled.display();
+        assert!(json.contains(r#""stamp.hits":2"#), "{ctx}: {json}");
+        assert!(!json.contains(r#""stamp.misses""#), "{ctx}: {json}");
+        assert!(!json.contains(r#""source.reads""#), "{ctx}: {json}");
+        let stamps = smlsc::core::StampCache::load(&proj.join(".smlsc-bins/stamps.json"));
+        assert_eq!(stamps.len(), 2, "{ctx}: one entry per file");
+    }
+    std::fs::remove_dir_all(&parent).ok();
+}

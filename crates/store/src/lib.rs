@@ -234,20 +234,19 @@ impl Store {
             std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         }
         let version_file = root.join("VERSION");
-        match std::fs::read_to_string(&version_file) {
-            Ok(v) => {
-                if v.trim() != LAYOUT_VERSION.to_string() {
-                    return Err(StoreError::LayoutVersion {
-                        found: v.trim().to_string(),
-                        expected: LAYOUT_VERSION,
-                    });
-                }
-            }
+        let found = match std::fs::read_to_string(&version_file) {
+            Ok(v) => v,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::write(&version_file, format!("{LAYOUT_VERSION}\n"))
-                    .map_err(|e| io_err(&version_file, e))?;
+                publish_version(&root, &version_file)?;
+                std::fs::read_to_string(&version_file).map_err(|e| io_err(&version_file, e))?
             }
             Err(e) => return Err(io_err(&version_file, e)),
+        };
+        if found.trim() != LAYOUT_VERSION.to_string() {
+            return Err(StoreError::LayoutVersion {
+                found: found.trim().to_string(),
+                expected: LAYOUT_VERSION,
+            });
         }
         let journal = Journal::new(root.join("journal.log"));
         Ok(Store {
@@ -585,6 +584,27 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// threads publish concurrently).
 fn tmp_seq() -> u64 {
     TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Publishes a fresh store's `VERSION` file atomically: staged complete
+/// in `tmp/`, fsynced, then renamed into place, so a concurrent opener
+/// reads either no file or the whole one, never an empty or partial
+/// file.  Racing first openers all rename the same content; the last
+/// rename wins harmlessly.
+fn publish_version(root: &Path, version_file: &Path) -> Result<(), StoreError> {
+    let tmp = root
+        .join("tmp")
+        .join(format!("VERSION.{}.{}", std::process::id(), tmp_seq()));
+    let write = || -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(format!("{LAYOUT_VERSION}\n").as_bytes())?;
+        f.sync_all()
+    };
+    if let Err(e) = write().and_then(|()| std::fs::rename(&tmp, version_file)) {
+        std::fs::remove_file(&tmp).ok();
+        return Err(io_err(version_file, e));
+    }
+    fsync_dir(root).map_err(|e| io_err(root, e))
 }
 
 /// Fsyncs a directory so a rename within it is durable across power

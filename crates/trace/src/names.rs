@@ -96,6 +96,10 @@ pub const STAMP_SAVES_SKIPPED: &str = "stamp.saves_skipped";
 /// Stamp-cache misses: a new, touched, or resized file that had to be
 /// read and digested (also counted when running `--paranoid`).
 pub const STAMP_MISSES: &str = "stamp.misses";
+/// Full rewrites of the base `stamps.json`: a cold save, or a compaction
+/// that folds the stamp delta back into the base.  A save that writes
+/// only a delta leaves it at zero.
+pub const STAMP_COMPACTIONS: &str = "stamp.compactions";
 /// Source files actually read from disk (forced lazy texts). A warm
 /// no-op build keeps this at zero.
 pub const SOURCE_READS: &str = "source.reads";
@@ -159,6 +163,9 @@ pub const SPAN_BUILD: &str = "irm.build";
 pub const SPAN_LOAD_BINS: &str = "irm.load_bins";
 /// Span: loading the stamp cache (`Irm::load_stamps`).
 pub const SPAN_LOAD_STAMPS: &str = "irm.load_stamps";
+/// Span: saving the stamp cache as a delta or a compacted base
+/// (`Irm::save_stamps`).
+pub const SPAN_SAVE_STAMPS: &str = "irm.save_stamps";
 /// Span: scanning a source directory (`Project::from_dir`).
 pub const SPAN_SCAN: &str = "irm.scan";
 /// Span: the analyze-everything phase (stamp ladder over all files).

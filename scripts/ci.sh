@@ -72,6 +72,30 @@ for bad in '"source.reads"' '"irm.units_compiled"'; do
   fi
 done
 
+echo "==> warm-edit smoke (import DAG reused, stamps saved as a delta)"
+e=$(mktemp -d)
+trap 'rm -rf "$d" "$w" "$e"' EXIT
+printf 'structure Util = struct fun inc x = x + 1 end\n' > "$e/util.sml"
+# Enough units that a one-file edit saves its stamp as a delta beside
+# stamps.json (a delta may hold at most 1/64 of the base).
+for i in $(seq 1 150); do
+  printf 'structure Use%d = struct val v = Util.inc %d end\n' "$i" "$i" > "$e/use$i.sml"
+done
+./target/release/smlsc build --no-daemon "$e"
+cp "$e/.smlsc-bins/deps.pack" "$e/deps.before"
+# A body edit keeps every import and export: the import DAG is reused
+# from deps.pack, and only the edited file's stamp misses.
+printf 'structure Util = struct fun inc x = x + 2 end\n' > "$e/util.sml"
+stats=$(./target/release/smlsc build --no-daemon --stats "$e" | grep '^{')
+for want in '"deps.pack_hits":1[,}]' '"stamp.misses":1[,}]'; do
+  echo "$stats" | grep -qE "$want" \
+    || { echo "error: warm edit did not report $want: $stats" >&2; exit 1; }
+done
+cmp "$e/deps.before" "$e/.smlsc-bins/deps.pack" \
+  || { echo "error: a body edit rewrote deps.pack" >&2; exit 1; }
+ls "$e"/.smlsc-bins/stamps-*.delta > /dev/null \
+  || { echo "error: a one-file edit did not save a stamps delta" >&2; exit 1; }
+
 echo "==> null-build benchmark (smoke)"
 ./target/release/null_build --smoke --out "$w/BENCH_null.json"
 cat "$w/BENCH_null.json"; echo
@@ -184,10 +208,13 @@ printf 'structure Pad1 = struct val v = 0 end\n' > "$x/pad1.sml"
 ./target/release/smlsc build --no-daemon "$x"
 delta=$(ls "$x"/.smlsc-bins/bins-*.delta) \
   || { echo "error: a one-unit edit did not save a delta" >&2; exit 1; }
+stamps_delta=$(ls "$x"/.smlsc-bins/stamps-*.delta) \
+  || { echo "error: a one-unit edit did not save a stamps delta" >&2; exit 1; }
 # Mangle every state kind the doctor audits, then assert its exit
 # codes: 4 on detection, 0 after --fix, 0 (healthy) on re-audit.
 printf 'SMLSSTM2 then garbage' > "$x/.smlsc-bins/stamps.json"
 printf 'SMLSPAK2 then garbage' > "$delta"
+printf 'SMLSSTM2 then garbage' > "$stamps_delta"
 printf 'SMLSDEP1garbage' > "$x/.smlsc-bins/deps.pack"
 printf '{"v":1,"torn' >> "$x/.smlsc-bins/builds.jsonl"
 printf 'half-staged' > "$x/.smlsc-bins/bins.tmp-99-0"

@@ -6,15 +6,20 @@
 //! the resident (daemon) session alike.  After every edit, each mode's
 //! persisted archive (the base `bins.pack` with its delta overlaid)
 //! must hold exactly what a cold build of the same sources persists,
-//! and the delta must stay within its cap.
+//! and the delta must stay within its cap.  The import DAG a warm
+//! process reuses from `deps.pack` must equal a freshly derived one, and
+//! every stamp the merged `stamps.json` ⊕ delta view serves must agree
+//! with a paranoid re-analysis of the source.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use smlsc_core::compile::{analyze_source, source_pid};
 use smlsc_core::irm::{FailurePolicy, Irm, Project, Strategy};
 use smlsc_core::pack::{self, MergedPack, DELTA_CAP_DIVISOR};
 use smlsc_core::resident::Resident;
+use smlsc_core::stamps::{Analysis, StampCache};
 use smlsc_core::{trace, BinFile};
 use smlsc_ids::Pid;
 use smlsc_workload::{module_name, EditKind, Topology, Workload, WorkloadSpec};
@@ -133,6 +138,50 @@ fn cold_view(src: &Path) -> Vec<UnitRow> {
     rows
 }
 
+/// Checks what a warm process over `bin` reuses against fresh
+/// derivations: the import DAG served from `deps.pack` (a hit iff
+/// `expect_hit`) must equal one derived with no caches at all, and every
+/// stamp the merged base ⊕ delta view serves must equal a paranoid
+/// re-analysis (re-read, re-digest, re-parse) of its file.  Returns how
+/// many stamps were served.
+fn check_reuse_against_fresh(bin: &Path, src: &Path, expect_hit: bool, ctx: &str) -> usize {
+    let project = Project::from_dir(src).unwrap();
+    let collector = trace::Collector::new();
+    collector.install();
+    let mut warm = Irm::new(Strategy::Cutoff);
+    warm.load_stamps(&bin.join("stamps.json"));
+    warm.load_bins(bin).unwrap();
+    let reused = warm.import_graph(&project).unwrap();
+    trace::uninstall();
+    assert_eq!(
+        collector.counter(trace::names::DEPS_PACK_HITS),
+        u64::from(expect_hit),
+        "{ctx}: deps.pack reuse"
+    );
+    let fresh = Irm::new(Strategy::Cutoff).import_graph(&project).unwrap();
+    assert!(
+        reused == fresh,
+        "{ctx}: reused graph differs from a fresh one"
+    );
+
+    let stamps = StampCache::load(&bin.join("stamps.json"));
+    let mut served = 0;
+    for f in project.files() {
+        let (dir, name) = f.stamp_key().expect("files on disk have stamp keys");
+        let Some(e) = stamps.lookup(dir, name, f.name, f.mtime, f.size()) else {
+            continue;
+        };
+        let text = std::fs::read_to_string(f.path().unwrap()).unwrap();
+        let sp = source_pid(&text);
+        let a = analyze_source(f.name, &text).unwrap();
+        let dp = smlsc_syntax::deps::token_pid(&text).unwrap_or(sp);
+        let paranoid = Analysis::new(sp, dp, a.imports, a.exports);
+        assert_eq!(*e.analysis, paranoid, "{ctx}: stamp for {}", f.name);
+        served += 1;
+    }
+    served
+}
+
 /// The union of the edited units' cones: each edited unit plus every
 /// transitive dependent, computed independently from the workload's own
 /// dependency lists.
@@ -208,6 +257,13 @@ fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
                     .contains(&format!("\"sched.dirty_cone\":{}", cone.len())),
                 "{ctx}: daemon cone, stats {}",
                 snap.stats_json
+            );
+
+            // Body edits keep every shape: the DAG is reused.
+            let served = check_reuse_against_fresh(&seq_bin, &src, true, &ctx);
+            assert!(
+                served >= units - victims.len(),
+                "{ctx}: {served} stamps served"
             );
 
             // Every mode persisted exactly what a cold build would.
@@ -287,6 +343,10 @@ fn interface_churn_recompiles_direct_importers_and_agrees_across_modes() {
             .map(module_name)
             .collect();
         assert_eq!(seq_rec, direct, "{ctx}: victim + direct importers");
+
+        // The new export changes the victim's shape: the build re-derived
+        // the DAG, and the warm process reuses what it saved.
+        check_reuse_against_fresh(&seq_bin, &src, true, &ctx);
 
         let cold = cold_view(&src);
         for (mode, bin) in [("seq", &seq_bin), ("par", &par_bin)] {

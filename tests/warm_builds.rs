@@ -378,6 +378,10 @@ fn renamed_file_never_serves_stale_stamps_or_analysis() {
     assert!(report.was_recompiled("b"), "{:?}", report.decisions);
     assert!(matches!(report.decisions[0], (_, RebuildDecision::NewUnit)));
     assert!(warm.bin_meta("b").is_some());
+    // The old path's stamp is dead: the save compacts it out of the base.
+    warm.save_stamps(&bins.join("stamps.json")).unwrap();
+    let stamps = smlsc_core::stamps::StampCache::load(&bins.join("stamps.json"));
+    assert_eq!(stamps.len(), 1, "only b.sml keeps a stamp");
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -635,4 +639,187 @@ fn leaf_edit_saves_exactly_its_body_as_a_delta() {
     let report = third.build(w.project()).unwrap();
     assert!(report.recompiled.is_empty(), "{:?}", report.recompiled);
     std::fs::remove_dir_all(&bins).ok();
+}
+
+/// One cold-process build over the sources in `src`, as the CLI runs
+/// it: load stamps and bins from `bins`, build, save both.
+fn disk_session(src: &Path, bins: &Path) -> (Irm, Project) {
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.load_stamps(&bins.join("stamps.json"));
+    if bins.is_dir() {
+        irm.load_bins(bins).unwrap();
+    }
+    let project = Project::from_dir(src).unwrap();
+    irm.build(&project).unwrap();
+    irm.save_bins(bins).unwrap();
+    irm.save_stamps(&bins.join("stamps.json")).unwrap();
+    (irm, project)
+}
+
+/// A 300-unit monorepo written to `<dir>/src`, built once cold.
+fn seeded_disk_project(tag: &str) -> (Workload, PathBuf, PathBuf, PathBuf) {
+    let dir = temp_dir(tag);
+    let src = dir.join("src");
+    let bins = dir.join("bins");
+    std::fs::create_dir_all(&src).unwrap();
+    let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units: 300,
+        seed: 11,
+    }));
+    write_sources(&src, &w);
+    disk_session(&src, &bins);
+    (w, dir, src, bins)
+}
+
+/// A one-leaf body edit leaves the unit's imports and exports alone, so
+/// every persisted layer pays only for the edit: the import DAG is
+/// reused from `deps.pack` (keyed on shape pids, not token digests),
+/// neither `deps.pack` nor the base `stamps.json` is rewritten, and the
+/// stamp delta holds exactly the edited file's entry.
+#[test]
+fn leaf_body_edit_reuses_the_import_dag_and_saves_one_stamp() {
+    let _faults = no_foreign_faults();
+    use smlsc_core::stamps::StampCache;
+    let (mut w, dir, src, bins) = seeded_disk_project("shape-reuse");
+    let deps_before = std::fs::read(bins.join("deps.pack")).unwrap();
+    let stamps_path = bins.join("stamps.json");
+    let stamps_before = std::fs::read(&stamps_path).unwrap();
+
+    let leaf = w.leaf_consumer().expect("a unit nothing imports");
+    w.edit(leaf, EditKind::BodyOnly);
+    let name = module_name(leaf);
+    let text = w.project().file(&name).unwrap().read_text().unwrap();
+    std::fs::write(src.join(format!("{name}.sml")), text).unwrap();
+    let collector = trace::Collector::new();
+    collector.install();
+    disk_session(&src, &bins);
+    trace::uninstall();
+
+    assert_eq!(collector.counter(trace::names::DEPS_PACK_HITS), 1);
+    assert_eq!(collector.counter(trace::names::DEPS_PACK_MISSES), 0);
+    assert_eq!(collector.counter(trace::names::STAMP_MISSES), 1);
+    assert_eq!(collector.counter(trace::names::STAMP_COMPACTIONS), 0);
+    assert_eq!(collector.counter(trace::names::UNITS_COMPILED), 1);
+    assert!(
+        std::fs::read(bins.join("deps.pack")).unwrap() == deps_before,
+        "deps.pack is not rewritten"
+    );
+    assert!(
+        std::fs::read(&stamps_path).unwrap() == stamps_before,
+        "the base stamps.json is not rewritten"
+    );
+    let deltas = StampCache::delta_files(&stamps_path);
+    assert_eq!(deltas.len(), 1, "{deltas:?}");
+    let audit = StampCache::audit(&deltas[0]).unwrap().unwrap();
+    assert_eq!(audit.entries, 1, "the delta holds exactly the edited file");
+
+    // A fresh process serves every stamp from the merged view.
+    let collector = trace::Collector::new();
+    collector.install();
+    disk_session(&src, &bins);
+    trace::uninstall();
+    assert_eq!(collector.counter(trace::names::STAMP_HITS), 300);
+    assert_eq!(collector.counter(trace::names::SOURCE_READS), 0);
+    assert_eq!(collector.counter(trace::names::DEPS_PACK_HITS), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An edit that adds an import changes the unit's shape: the persisted
+/// DAG misses exactly once, and the re-derived graph is the one a fresh
+/// manager with no caches derives.
+#[test]
+fn an_edit_that_adds_an_import_rederives_the_graph() {
+    let _faults = no_foreign_faults();
+    let (w, dir, src, bins) = seeded_disk_project("shape-miss");
+    let leaf = w.leaf_consumer().expect("a unit nothing imports");
+    let target = (0..w.module_count())
+        .find(|&i| i != leaf && !w.deps()[leaf].contains(&i))
+        .expect("a unit the leaf does not import yet");
+    let path = src.join(format!("{}.sml", module_name(leaf)));
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str(&format!(
+        "\nstructure {}Probe = struct val p = {}.get 1 end\n",
+        module_name(leaf),
+        module_name(target)
+    ));
+    std::fs::write(&path, text).unwrap();
+
+    let collector = trace::Collector::new();
+    collector.install();
+    let (mut irm, project) = disk_session(&src, &bins);
+    trace::uninstall();
+    assert_eq!(collector.counter(trace::names::DEPS_PACK_MISSES), 1);
+    assert_eq!(collector.counter(trace::names::DEPS_PACK_HITS), 0);
+
+    let graph = irm.import_graph(&project).unwrap();
+    let fresh = Irm::new(Strategy::Cutoff)
+        .import_graph(&Project::from_dir(&src).unwrap())
+        .unwrap();
+    assert_eq!(graph, fresh);
+    let (_, imports) = graph
+        .iter()
+        .find(|(u, _)| u.as_str() == module_name(leaf))
+        .unwrap();
+    assert!(imports.iter().any(|u| u.as_str() == module_name(target)));
+
+    // The next process reuses the re-derived graph from disk.
+    let collector = trace::Collector::new();
+    collector.install();
+    let (mut again, project) = disk_session(&src, &bins);
+    trace::uninstall();
+    assert_eq!(collector.counter(trace::names::DEPS_PACK_HITS), 1);
+    assert_eq!(again.import_graph(&project).unwrap(), fresh);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Stamps are keyed by the canonical project directory, not by how the
+/// directory was spelled: `t`, `./t` and the absolute path all hit every
+/// stamp, read no source, and never grow the cache past one entry per
+/// file.
+#[test]
+fn every_spelling_of_the_project_dir_hits_the_same_stamps() {
+    let _faults = no_foreign_faults();
+    use smlsc_core::stamps::StampCache;
+    let dir = temp_dir("spelling");
+    let src = dir.join("t");
+    let bins = dir.join("bins");
+    std::fs::create_dir_all(&src).unwrap();
+    let units = 40;
+    let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units,
+        seed: 3,
+    }));
+    write_sources(&src, &w);
+    disk_session(&src, &bins);
+    let stamps_path = bins.join("stamps.json");
+
+    // Relative spellings resolve against the working directory, which
+    // the test must not change; a symlink in the scratch directory gives
+    // the same variety of spellings without touching it.
+    let link = dir.join("via-link");
+    std::os::unix::fs::symlink(&src, &link).unwrap();
+    let spellings = [
+        src.clone(),
+        src.join("."),
+        dir.join(".").join("t"),
+        dir.join("bins").join("..").join("t"),
+        link,
+        std::fs::canonicalize(&src).unwrap(),
+    ];
+    for spelled in &spellings {
+        let collector = trace::Collector::new();
+        collector.install();
+        disk_session(spelled, &bins);
+        trace::uninstall();
+        let ctx = spelled.display();
+        assert_eq!(
+            collector.counter(trace::names::STAMP_HITS),
+            units as u64,
+            "{ctx}"
+        );
+        assert_eq!(collector.counter(trace::names::STAMP_MISSES), 0, "{ctx}");
+        assert_eq!(collector.counter(trace::names::SOURCE_READS), 0, "{ctx}");
+        assert_eq!(StampCache::load(&stamps_path).len(), units, "{ctx}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
