@@ -8,7 +8,10 @@ use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::{collect_external_pids, dehydrate, ContextPids, PickleOptions};
 use smlsc_statics::elab::{elaborate_unit, ImportEnv, ImportedUnit};
 use smlsc_statics::env::Bindings;
-use smlsc_syntax::{deps::free_module_names, parse_unit};
+use smlsc_syntax::deps::{digest_tokens, free_module_names};
+use smlsc_syntax::lexer::{lex, LexError, SpannedTok};
+use smlsc_syntax::parse_unit;
+use smlsc_syntax::parser::parse_tokens;
 use smlsc_trace::{self as trace, names};
 
 use crate::hash::hash_exports;
@@ -176,20 +179,38 @@ pub struct SourceAnalysis {
     pub imports: Vec<Symbol>,
     /// Top-level names the unit binds — its exports, in source order.
     pub exports: Vec<Symbol>,
+    /// The digest of the token stream ([`smlsc_syntax::deps::token_pid`]).
+    pub token_pid: Pid,
 }
 
-/// Parses a source and returns its imports and exports.
+/// Lexes, digests and parses a source and returns its imports, exports
+/// and token pid.
 ///
 /// # Errors
 ///
 /// [`CoreError::Parse`] when the source does not parse.
 pub fn analyze_source(name: Symbol, source: &str) -> Result<SourceAnalysis, CoreError> {
-    let ast = parse_unit(source).map_err(|e| CoreError::Parse {
-        unit: name,
-        error: e,
-    })?;
+    analyze_tokens(name, lex(source))
+}
+
+/// [`analyze_source`] over a source its caller already lexed, so a
+/// source is lexed once per analysis: the same token vector is digested,
+/// then parsed.
+///
+/// # Errors
+///
+/// [`CoreError::Parse`] when the source does not lex or parse.
+pub fn analyze_tokens(
+    name: Symbol,
+    lexed: Result<Vec<SpannedTok>, LexError>,
+) -> Result<SourceAnalysis, CoreError> {
+    let parse_error = |error| CoreError::Parse { unit: name, error };
+    let toks = lexed.map_err(|e| parse_error(e.into()))?;
+    let token_pid = digest_tokens(&toks);
+    let ast = parse_tokens(toks).map_err(parse_error)?;
     Ok(SourceAnalysis {
         imports: free_module_names(&ast),
         exports: ast.bound_names(),
+        token_pid,
     })
 }

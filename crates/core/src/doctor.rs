@@ -637,8 +637,9 @@ mod tests {
         use crate::stamps::{Analysis, StampEntry};
         use smlsc_ids::{Pid, Symbol};
         use std::sync::Arc;
-        // Hold the fault gate: the `fsutil` tests inject `stamp.save`
-        // faults process-wide.
+        // An empty plan on this thread hides any process-wide plan (the
+        // `fsutil` tests' `stamp.save` faults are scoped to their own
+        // threads).
         let _faults = smlsc_faults::install_scoped(smlsc_faults::FaultPlan::default());
         let dir = temp("stamp-delta");
         let path = dir.join("stamps.json");

@@ -81,9 +81,10 @@ use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::{rehydrate, RehydrateContext};
 use smlsc_statics::env::Bindings;
 use smlsc_store::Store;
+use smlsc_syntax::lexer::{lex, LexError, SpannedTok};
 use smlsc_trace::{self as trace, names, RebuildDecision};
 
-use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
+use crate::compile::{analyze_tokens, compile_unit, source_pid, CompileTimings, ImportSource};
 use crate::depgraph::{self, DepGraph};
 use crate::fsutil;
 use crate::link::{link_and_execute, DynEnv};
@@ -827,8 +828,11 @@ fn analyze_one(
         }
         // Rung 3: by token digest — a comment or whitespace edit keeps
         // the token stream (hence imports/exports, and the shape) identical.
+        // The tokens are kept: on a miss, rung 4 parses these same tokens.
         if !paranoid {
-            if let Some(dp) = smlsc_syntax::deps::token_pid(text) {
+            let lexed = lex(text);
+            if let Ok(toks) = &lexed {
+                let dp = smlsc_syntax::deps::digest_tokens(toks);
                 if c.deps_pid == dp {
                     return Ok(FileAnalysis {
                         analysis: Arc::new(CachedAnalysis {
@@ -842,14 +846,24 @@ fn analyze_one(
                     });
                 }
             }
+            return analyze_fresh(f, sp, || lexed);
         }
     }
-    // Rung 4: a real parse.
+    analyze_fresh(f, sp, || lex(text))
+}
+
+/// Rung 4 of [`analyze_one`]: a real parse of the lexed source, which
+/// also yields its token pid.  `lexed` hands over rung 3's tokens, or
+/// lexes here (inside the span) when rung 3 did not run.
+fn analyze_fresh(
+    f: &SourceFile,
+    sp: Pid,
+    lexed: impl FnOnce() -> Result<Vec<SpannedTok>, LexError>,
+) -> Result<FileAnalysis, CoreError> {
     let _span = trace::span(names::SPAN_ANALYZE).field("unit", f.name.as_str());
-    let a = analyze_source(f.name, text)?;
-    let dp = smlsc_syntax::deps::token_pid(text).unwrap_or(sp);
+    let a = analyze_tokens(f.name, lexed())?;
     Ok(FileAnalysis {
-        analysis: Arc::new(CachedAnalysis::new(sp, dp, a.imports, a.exports)),
+        analysis: Arc::new(CachedAnalysis::new(sp, a.token_pid, a.imports, a.exports)),
         hit: AnalysisHit::Fresh,
     })
 }
@@ -1602,12 +1616,14 @@ impl Irm {
                 std::thread::scope(|scope| {
                     for _ in 0..jobs.min(files.len()) {
                         let sink = trace::fork_current();
+                        let plan = faults::fork_current();
                         let next = &next;
                         let slots = &slots;
                         scope.spawn(move || {
                             if let Some(sink) = sink {
                                 trace::install(sink);
                             }
+                            let _faults = plan.map(faults::ForkedFaults::install);
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 if i >= files.len() {
@@ -2128,11 +2144,13 @@ impl Irm {
                     let task_rx = Arc::clone(&task_rx);
                     let done_tx = done_tx.clone();
                     let sink = trace::fork_current();
+                    let plan = faults::fork_current();
                     let shared = &shared;
                     scope.spawn(move || {
                         if let Some(sink) = sink {
                             trace::install(sink);
                         }
+                        let _faults = plan.map(faults::ForkedFaults::install);
                         {
                             let _worker_span = trace::span(names::SPAN_WORKER).field("worker", w);
                             loop {

@@ -243,7 +243,7 @@ impl Session {
             let Value::Record(fields) = &units[str_slot as usize] else {
                 continue;
             };
-            let Some(vslot) = smlsc_statics::env::val_slot(&str_env.bindings, mname) else {
+            let Some(vslot) = str_env.layout().val(mname).and_then(|m| m.slot) else {
                 continue;
             };
             return Ok(fields[vslot as usize].to_string());

@@ -61,7 +61,7 @@
 //! ```text
 //! magic "SMLSSTM2" (8 bytes)
 //! payload:
-//!   u32 format version (3)
+//!   u32 format version (4)
 //!   u32 directory count
 //!   per directory, sorted:
 //!     str directory                       -- the key up to its last '/'
@@ -96,7 +96,9 @@ use crate::fsutil::{self, DELTA_CAP_DIVISOR};
 use crate::CoreError;
 
 /// Version of the stamp-file format; a mismatch discards the file.
-const STAMP_VERSION: u32 = 3;
+/// Version 4 changed no layout: its deps pids are the binary token
+/// digest, so version-3 deps pids would never match again.
+const STAMP_VERSION: u32 = 4;
 /// The JSON format this repo shipped first; still readable, migrated on
 /// the next save.
 const LEGACY_STAMP_VERSION: u32 = 1;
@@ -725,9 +727,10 @@ mod tests {
         }
     }
 
-    /// Holds the process-wide fault gate with an empty plan: the
-    /// `fsutil` tests inject `stamp.save` faults process-wide, which a
-    /// concurrent save here would otherwise hit.
+    /// Scopes an empty plan to this test's thread, which hides any
+    /// process-wide plan.  Scoped plans no longer leak between threads;
+    /// this stays as a second guard against the `fsutil` tests'
+    /// `stamp.save` faults.
     fn no_foreign_faults() -> smlsc_faults::ScopedFaults {
         smlsc_faults::install_scoped(smlsc_faults::FaultPlan::default())
     }
@@ -1038,19 +1041,25 @@ mod tests {
 
     #[test]
     fn an_older_format_version_reads_as_absent() {
-        let dir = tmp_path("v2");
-        let path = dir.join("stamps.json");
-        let mut body = Writer::new();
-        body.u32(2);
-        body.u32(0);
-        let body = body.into_bytes();
-        let mut bytes = STAMP_MAGIC.to_vec();
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&Pid::of_bytes(&body).as_raw().to_le_bytes());
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(StampCache::load(&path).is_empty());
-        assert!(StampCache::audit(&path).unwrap().is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        // Version 3 stored deps pids in the older, text-based token digest.
+        for version in [2u32, 3] {
+            let dir = tmp_path(&format!("v{version}"));
+            let path = dir.join("stamps.json");
+            let mut body = Writer::new();
+            body.u32(version);
+            body.u32(0);
+            let body = body.into_bytes();
+            let mut bytes = STAMP_MAGIC.to_vec();
+            bytes.extend_from_slice(&body);
+            bytes.extend_from_slice(&Pid::of_bytes(&body).as_raw().to_le_bytes());
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(StampCache::load(&path).is_empty(), "version {version}");
+            assert!(
+                StampCache::audit(&path).unwrap().is_err(),
+                "version {version}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

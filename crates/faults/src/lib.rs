@@ -11,6 +11,12 @@
 //! (the default), [`check`] is a single relaxed atomic load, so chaos
 //! suites run against the same release binaries users get.
 //!
+//! A plan is either global ([`install_global`], for `--inject-faults` /
+//! `SMLSC_FAULTS`: every thread sees it) or scoped to one thread
+//! ([`install_scoped`], for tests), which hands it on to the workers it
+//! spawns with [`fork_current`].  Concurrent tests therefore never see
+//! each other's faults.
+//!
 //! # Spec grammar
 //!
 //! A plan is parsed from `--inject-faults <spec>` or the `SMLSC_FAULTS`
@@ -60,8 +66,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use smlsc_trace as trace;
@@ -350,78 +358,139 @@ struct PlanState {
     rules: Vec<RuleState>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static PLAN: RwLock<Option<Arc<PlanState>>> = RwLock::new(None);
-/// Serializes scoped installs so in-process tests cannot interleave
-/// plans; poisoning is expected (panic faults) and benign.
-static GATE: Mutex<()> = Mutex::new(());
+impl PlanState {
+    fn new(plan: FaultPlan) -> Arc<PlanState> {
+        Arc::new(PlanState {
+            seed: plan.seed,
+            rules: plan
+                .rules
+                .into_iter()
+                .map(|rule| RuleState {
+                    rule,
+                    calls: AtomicU64::new(0),
+                    fires: AtomicU64::new(0),
+                })
+                .collect(),
+        })
+    }
+}
 
-/// Installs `plan` process-wide, replacing any previous plan.  Intended
-/// for binaries (`--inject-faults` / `SMLSC_FAULTS`); tests should use
-/// [`install_scoped`], which also serializes concurrent installers.
+/// How many plans are installed anywhere in the process: the global plan
+/// (zero or one) plus every live scoped installation, forked ones
+/// included.  While it is zero no thread can see a plan, so [`check`]
+/// stops at one relaxed load.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+/// The process-wide plan (`--inject-faults` / `SMLSC_FAULTS`).
+static GLOBAL: RwLock<Option<Arc<PlanState>>> = RwLock::new(None);
+
+thread_local! {
+    /// The plan scoped to this thread, if any.  It hides the global
+    /// plan, so an empty scoped plan shields a thread from everything.
+    static SCOPED: RefCell<Option<Arc<PlanState>>> = const { RefCell::new(None) };
+}
+
+/// The plan that applies to the calling thread.
+fn current_plan() -> Option<Arc<PlanState>> {
+    // `try_with`: a point checked from a destructor during thread exit
+    // sees the global plan rather than panicking.
+    SCOPED
+        .try_with(|s| s.borrow().clone())
+        .ok()
+        .flatten()
+        .or_else(|| GLOBAL.read().unwrap_or_else(|e| e.into_inner()).clone())
+}
+
+/// Installs `plan` process-wide, replacing any previous plan.  Every
+/// thread without a scoped plan sees it.  Intended for binaries
+/// (`--inject-faults` / `SMLSC_FAULTS`); tests should use
+/// [`install_scoped`], which no other test's threads can see.
 pub fn install_global(plan: FaultPlan) {
-    let state = PlanState {
-        seed: plan.seed,
-        rules: plan
-            .rules
-            .into_iter()
-            .map(|rule| RuleState {
-                rule,
-                calls: AtomicU64::new(0),
-                fires: AtomicU64::new(0),
-            })
-            .collect(),
-    };
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(state));
-    ACTIVE.store(true, Ordering::SeqCst);
+    let mut global = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
+    if global.replace(PlanState::new(plan)).is_none() {
+        ARMED.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
-/// Removes the installed plan, restoring the zero-cost no-op behaviour.
+/// Removes the global plan.  Scoped plans are untouched; they end when
+/// their guards drop.
 pub fn clear() {
-    ACTIVE.store(false, Ordering::SeqCst);
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
+    let mut global = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
+    if global.take().is_some() {
+        ARMED.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
-/// A scoped plan installation; the plan is cleared when dropped, and a
-/// process-wide gate is held so concurrent scoped installs serialize.
+/// A plan scoped to one thread; the thread's previous plan comes back
+/// when it drops.  Not `Send`: it restores the thread it was made on.
 #[derive(Debug)]
 pub struct ScopedFaults {
-    _gate: MutexGuard<'static, ()>,
+    prev: Option<Arc<PlanState>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
-/// Installs `plan` for the lifetime of the returned guard.  Concurrent
-/// callers block until the previous guard drops, so tests sharing the
-/// process cannot see each other's faults.
+/// Installs `plan` for the calling thread, for the lifetime of the
+/// returned guard.  Only this thread and the workers it hands the plan
+/// to ([`fork_current`]) see it, so tests sharing the process cannot see
+/// each other's faults.
 pub fn install_scoped(plan: FaultPlan) -> ScopedFaults {
-    let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    install_global(plan);
-    ScopedFaults { _gate: gate }
+    scope(PlanState::new(plan))
+}
+
+fn scope(state: Arc<PlanState>) -> ScopedFaults {
+    ARMED.fetch_add(1, Ordering::SeqCst);
+    let prev = SCOPED.with(|s| s.borrow_mut().replace(state));
+    ScopedFaults {
+        prev,
+        _thread_bound: PhantomData,
+    }
 }
 
 impl Drop for ScopedFaults {
     fn drop(&mut self) {
-        clear();
+        let _ = SCOPED.try_with(|s| *s.borrow_mut() = self.prev.take());
+        ARMED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// True when a plan is installed.
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Checks a fault point.  With no plan installed this is a single
-/// relaxed atomic load.  `Delay` faults sleep here and return `None`;
-/// `Panic` faults panic here (with a message naming the point); `Io`
-/// and `Torn` are returned for the caller to interpret.
-pub fn check(point: &'static str, detail: &str) -> Option<FaultKind> {
-    if !ACTIVE.load(Ordering::Relaxed) {
+/// The calling thread's scoped plan, to be handed to a worker thread it
+/// spawns; `None` when the thread has none (the worker then sees the
+/// global plan, like any thread).  Parallel builds fork it next to the
+/// trace sink (`trace::fork_current`), so a test's plan follows its
+/// build onto the workers, and the workers share its call and fire
+/// counters.
+pub fn fork_current() -> Option<ForkedFaults> {
+    if ARMED.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    let state = PLAN
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .cloned()?;
+    SCOPED.with(|s| s.borrow().clone()).map(ForkedFaults)
+}
+
+/// A scoped plan on its way to a worker thread (see [`fork_current`]).
+#[derive(Debug)]
+pub struct ForkedFaults(Arc<PlanState>);
+
+impl ForkedFaults {
+    /// Scopes the plan to the calling (worker) thread.
+    pub fn install(self) -> ScopedFaults {
+        scope(self.0)
+    }
+}
+
+/// True when a plan applies to the calling thread.
+pub fn active() -> bool {
+    ARMED.load(Ordering::Relaxed) != 0 && current_plan().is_some()
+}
+
+/// Checks a fault point against the calling thread's plan.  With no plan
+/// installed anywhere this is a single relaxed atomic load.  `Delay`
+/// faults sleep here and return `None`; `Panic` faults panic here (with
+/// a message naming the point); `Io` and `Torn` are returned for the
+/// caller to interpret.
+pub fn check(point: &'static str, detail: &str) -> Option<FaultKind> {
+    if ARMED.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    let state = current_plan()?;
     for rs in &state.rules {
         if rs.rule.point != point {
             continue;
@@ -622,6 +691,57 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("injected fault"), "{msg}");
         assert!(msg.contains("compile.unit"), "{msg}");
+    }
+
+    /// A thread with no plan never sees another thread's scoped plan,
+    /// even while that plan fires on every call.
+    #[test]
+    fn scoped_plans_stay_on_their_thread() {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..20 {
+                    let _guard = install_scoped(
+                        FaultPlan::default()
+                            .with(FaultRule::new(points::STAMP_SAVE, FaultKind::Io)),
+                    );
+                    barrier.wait(); // plan installed
+                    assert_eq!(check(points::STAMP_SAVE, "mine"), Some(FaultKind::Io));
+                    barrier.wait(); // the other thread has checked
+                }
+            });
+            s.spawn(|| {
+                for _ in 0..20 {
+                    barrier.wait();
+                    assert!(!active());
+                    assert!(check(points::STAMP_SAVE, "yours").is_none());
+                    barrier.wait();
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn forked_plans_reach_workers_and_share_counters() {
+        let _guard = install_scoped(
+            FaultPlan::default().with(FaultRule::new(points::BIN_SAVE, FaultKind::Io).times(1)),
+        );
+        let forked = fork_current().expect("a scoped plan forks");
+        let fired = std::thread::spawn(move || {
+            let _worker = forked.install();
+            check(points::BIN_SAVE, "w")
+        })
+        .join()
+        .unwrap();
+        assert_eq!(fired, Some(FaultKind::Io), "the worker sees the plan");
+        assert!(
+            check(points::BIN_SAVE, "main").is_none(),
+            "the worker used up the plan's one fire"
+        );
+        let unforked = std::thread::spawn(|| check(points::BIN_SAVE, "x"))
+            .join()
+            .unwrap();
+        assert!(unforked.is_none(), "a plain spawn inherits nothing");
     }
 
     #[test]

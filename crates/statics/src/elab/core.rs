@@ -658,14 +658,20 @@ impl<'a> Elaborator<'a> {
         access: Option<Access>,
     ) -> Result<(), ElabError> {
         let b = &str_env.bindings;
+        let layout = str_env.layout();
+        // A shadowed binding gets its name's (last binding's) slot; the
+        // later entry in the frame hides it anyway.
+        let field = |member: Option<crate::env::Member>| {
+            let slot = member?.slot?;
+            access.as_ref().map(|a| a.field(slot))
+        };
         let entries: Vec<(Symbol, ValBind, Option<Access>)> = b
             .vals
             .iter()
             .map(|(n, vb)| {
                 let acc = match vb.kind {
                     ValKind::Con { .. } | ValKind::Prim(_) => None,
-                    ValKind::Plain | ValKind::Exn => crate::env::val_slot(b, *n)
-                        .and_then(|s| access.as_ref().map(|a| a.field(s))),
+                    ValKind::Plain | ValKind::Exn => field(layout.val(*n)),
                 };
                 (*n, vb.clone(), acc)
             })
@@ -673,20 +679,12 @@ impl<'a> Elaborator<'a> {
         let strs: Vec<_> = b
             .strs
             .iter()
-            .map(|(n, s)| {
-                let acc = crate::env::str_slot(b, *n)
-                    .and_then(|slot| access.as_ref().map(|a| a.field(slot)));
-                (*n, s.clone(), acc)
-            })
+            .map(|(n, s)| (*n, s.clone(), field(layout.str(*n))))
             .collect();
         let fcts: Vec<_> = b
             .fcts
             .iter()
-            .map(|(n, f)| {
-                let acc = crate::env::fct_slot(b, *n)
-                    .and_then(|slot| access.as_ref().map(|a| a.field(slot)));
-                (*n, f.clone(), acc)
-            })
+            .map(|(n, f)| (*n, f.clone(), field(layout.fct(*n))))
             .collect();
         let frame = self.cur_frame();
         frame.vals.extend(entries);

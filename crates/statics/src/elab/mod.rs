@@ -18,8 +18,8 @@ use smlsc_ids::{StampGenerator, Symbol};
 use smlsc_syntax::ast::{Path, UnitAst};
 
 use crate::env::{
-    fct_slot, runtime_slots, str_slot, val_slot, Bindings, FunctorEnv, SignatureEnv, Slot,
-    StructureEnv, ValBind, ValKind,
+    visit_slots, Bindings, FunctorEnv, Layout, Member, SignatureEnv, Slot, StructureEnv, ValBind,
+    ValKind,
 };
 use crate::error::ElabError;
 use crate::pervasive::{pervasives, Pervasives};
@@ -190,35 +190,26 @@ impl Frame {
 
     /// Builds the record expression materializing these bindings with the
     /// canonical layout of `bindings` (which must be `self.to_bindings()`).
+    /// Positions in `bindings` are positions in `self`, so each slot's
+    /// access is one index away.
     pub fn record_ir(&self, bindings: &Bindings) -> Result<Ir, ElabError> {
         let mut fields = Vec::new();
-        for slot in runtime_slots(bindings) {
-            let ir = match slot {
-                Slot::Val(name) => self
-                    .vals
-                    .iter()
-                    .rev()
-                    .find(|(n, _, _)| *n == name)
-                    .and_then(|(_, _, a)| a.as_ref())
-                    .map(Access::ir),
-                Slot::Str(name) => self
-                    .strs
-                    .iter()
-                    .rev()
-                    .find(|(n, _, _)| *n == name)
-                    .and_then(|(_, _, a)| a.as_ref())
-                    .map(Access::ir),
-                Slot::Fct(name) => self
-                    .fcts
-                    .iter()
-                    .rev()
-                    .find(|(n, _, _)| *n == name)
-                    .and_then(|(_, _, a)| a.as_ref())
-                    .map(Access::ir),
+        let mut missing = false;
+        visit_slots(bindings, |slot, pos| {
+            let access = match slot {
+                Slot::Val(_) => self.vals[pos].2.as_ref(),
+                Slot::Str(_) => self.strs[pos].2.as_ref(),
+                Slot::Fct(_) => self.fcts[pos].2.as_ref(),
             };
-            fields.push(ir.ok_or_else(|| {
-                ElabError::new("internal: binding without runtime access in record")
-            })?);
+            match access {
+                Some(a) => fields.push(a.ir()),
+                None => missing = true,
+            }
+        });
+        if missing {
+            return Err(ElabError::new(
+                "internal: binding without runtime access in record",
+            ));
         }
         Ok(Ir::Record(fields))
     }
@@ -226,6 +217,8 @@ impl Frame {
 
 pub(crate) struct Elaborator<'a> {
     pub imports: &'a ImportEnv,
+    /// The layout of each import's exports, parallel to `imports.units`.
+    import_layouts: Vec<Layout>,
     pub perv: Arc<Pervasives>,
     pub stamper: StampGenerator,
     pub frames: Vec<Frame>,
@@ -244,6 +237,11 @@ impl<'a> Elaborator<'a> {
         let n = imports.units.len() as LVar;
         Elaborator {
             imports,
+            import_layouts: imports
+                .units
+                .iter()
+                .map(|u| Layout::of(&u.exports))
+                .collect(),
             perv: pervasives(),
             stamper: StampGenerator::new(),
             frames: Vec::new(),
@@ -275,16 +273,23 @@ impl<'a> Elaborator<'a> {
 
     // ----- name resolution -------------------------------------------------
 
-    /// Finds the import slot and member access for a root symbol exported
-    /// by some imported unit, in the given namespace.
+    /// Finds the import slot and member for a root symbol exported by
+    /// some imported unit, in the namespace `pick` selects from the
+    /// import's layout.
     fn import_member(
         &self,
         name: Symbol,
-        pick: impl Fn(&Bindings, Symbol) -> Option<u32>,
-    ) -> Result<Option<(u32, u32, &ImportedUnit)>, ElabError> {
+        pick: impl Fn(&Layout, Symbol) -> Option<Member>,
+    ) -> Result<Option<(u32, Member, &ImportedUnit)>, ElabError> {
         let mut found = None;
-        for (slot, u) in self.imports.units.iter().enumerate() {
-            if let Some(member) = pick(&u.exports, name) {
+        for (slot, (u, layout)) in self
+            .imports
+            .units
+            .iter()
+            .zip(&self.import_layouts)
+            .enumerate()
+        {
+            if let Some(member) = pick(layout, name) {
                 // Under shadowing (interactive sessions), the later unit
                 // wins; otherwise a name in two imports is ambiguous.
                 if found.is_some() && !self.imports.shadowing {
@@ -307,10 +312,10 @@ impl<'a> Elaborator<'a> {
                 return Ok((s.clone(), a.clone()));
             }
         }
-        if let Some((slot, member, u)) = self.import_member(name, str_slot)? {
-            let s = u.exports.str(name).expect("slot implies presence").clone();
+        if let Some((slot, member, u)) = self.import_member(name, Layout::str)? {
+            let s = u.exports.strs[member.pos as usize].1.clone();
             let base = Access::Local(self.import_lvars[slot as usize]);
-            return Ok((s, Some(base.field(member))));
+            return Ok((s, member.slot.map(|m| base.field(m))));
         }
         // A structure exported without a runtime slot cannot exist; report
         // unbound.
@@ -328,16 +333,7 @@ impl<'a> Elaborator<'a> {
             components.push(path.last);
         }
         for q in components {
-            let sub = cur.bindings.str(q).ok_or_else(|| {
-                ElabError::new(format!(
-                    "structure `{}` has no substructure `{q}`",
-                    cur_name(&cur)
-                ))
-            })?;
-            let slot = str_slot(&cur.bindings, q)
-                .ok_or_else(|| ElabError::new("internal: substructure without slot"))?;
-            acc = acc.map(|a| a.field(slot));
-            cur = sub.clone();
+            (cur, acc) = substructure(&cur, acc, q)?;
         }
         Ok((cur, acc))
     }
@@ -347,16 +343,7 @@ impl<'a> Elaborator<'a> {
     fn lookup_prefix(&self, path: &Path) -> Result<(Arc<StructureEnv>, Option<Access>), ElabError> {
         let (mut cur, mut acc) = self.lookup_str_root(path.qualifiers[0])?;
         for q in &path.qualifiers[1..] {
-            let sub = cur.bindings.str(*q).ok_or_else(|| {
-                ElabError::new(format!(
-                    "structure `{}` has no substructure `{q}`",
-                    cur_name(&cur)
-                ))
-            })?;
-            let slot = str_slot(&cur.bindings, *q)
-                .ok_or_else(|| ElabError::new("internal: substructure without slot"))?;
-            acc = acc.map(|a| a.field(slot));
-            cur = sub.clone();
+            (cur, acc) = substructure(&cur, acc, *q)?;
         }
         Ok((cur, acc))
     }
@@ -375,14 +362,16 @@ impl<'a> Elaborator<'a> {
             return Err(ElabError::new(format!("unbound variable `{name}`")));
         }
         let (str_env, acc) = self.lookup_prefix(path)?;
-        let vb = str_env
-            .bindings
+        let member = str_env
+            .layout()
             .val(path.last)
             .ok_or_else(|| ElabError::new(format!("structure has no value `{}`", path.last)))?;
+        let vb = &str_env.bindings.vals[member.pos as usize].1;
         let access = match vb.kind {
             ValKind::Con { .. } | ValKind::Prim(_) => None,
             ValKind::Plain | ValKind::Exn => {
-                let slot = val_slot(&str_env.bindings, path.last)
+                let slot = member
+                    .slot
                     .ok_or_else(|| ElabError::new("internal: value without slot"))?;
                 Some(
                     acc.ok_or_else(|| {
@@ -443,10 +432,10 @@ impl<'a> Elaborator<'a> {
                 return Ok((f.clone(), a.clone()));
             }
         }
-        if let Some((slot, member, u)) = self.import_member(name, fct_slot)? {
-            let f = u.exports.fct(name).expect("slot implies presence").clone();
+        if let Some((slot, member, u)) = self.import_member(name, Layout::fct)? {
+            let f = u.exports.fcts[member.pos as usize].1.clone();
             let base = Access::Local(self.import_lvars[slot as usize]);
-            return Ok((f, Some(base.field(member))));
+            return Ok((f, member.slot.map(|m| base.field(m))));
         }
         Err(ElabError::new(format!("unbound functor `{name}`")))
     }
@@ -456,16 +445,35 @@ fn cur_name(s: &StructureEnv) -> String {
     format!("<structure {}>", s.stamp)
 }
 
+/// Steps from structure `cur` (reached by `acc`) into its substructure `q`.
+fn substructure(
+    cur: &StructureEnv,
+    acc: Option<Access>,
+    q: Symbol,
+) -> Result<(Arc<StructureEnv>, Option<Access>), ElabError> {
+    let member = cur.layout().str(q).ok_or_else(|| {
+        ElabError::new(format!(
+            "structure `{}` has no substructure `{q}`",
+            cur_name(cur)
+        ))
+    })?;
+    let slot = member
+        .slot
+        .ok_or_else(|| ElabError::new("internal: substructure without slot"))?;
+    let sub = cur.bindings.strs[member.pos as usize].1.clone();
+    Ok((sub, acc.map(|a| a.field(slot))))
+}
+
 /// Builds the IR coercing a record laid out per `actual` into one laid out
 /// per `view` (signature thinning; §2's ascription, and argument passing
 /// at functor applications).
 pub(crate) fn coerce_ir(
     el: &mut Elaborator<'_>,
-    actual: &Bindings,
-    view: &Bindings,
+    actual: &StructureEnv,
+    view: &StructureEnv,
     base: Ir,
 ) -> Result<Ir, ElabError> {
-    if same_layout(actual, view) {
+    if same_layout(&actual.bindings, &view.bindings) {
         return Ok(base);
     }
     let v = el.fresh_lvar();
@@ -476,22 +484,28 @@ pub(crate) fn coerce_ir(
     ))
 }
 
+/// Each view slot finds its actual member through `actual`'s memoized
+/// layout, so a structure of n members coerces in O(n log n).
 fn build_view_record(
     el: &mut Elaborator<'_>,
-    actual: &Bindings,
-    view: &Bindings,
+    actual: &StructureEnv,
+    view: &StructureEnv,
     base: &Access,
 ) -> Result<Ir, ElabError> {
-    let mut fields = Vec::new();
-    for slot in runtime_slots(view) {
+    let mut view_slots = Vec::new();
+    visit_slots(&view.bindings, |slot, pos| view_slots.push((slot, pos)));
+    let layout = actual.layout();
+    let mut fields = Vec::with_capacity(view_slots.len());
+    for (slot, pos) in view_slots {
         let ir = match slot {
             Slot::Val(name) => {
-                let avb = actual
+                let member = layout
                     .val(name)
                     .ok_or_else(|| ElabError::new(format!("coercion: missing value `{name}`")))?;
-                match &avb.kind {
+                match &actual.bindings.vals[member.pos as usize].1.kind {
                     ValKind::Plain | ValKind::Exn => {
-                        let s = val_slot(actual, name)
+                        let s = member
+                            .slot
                             .ok_or_else(|| ElabError::new("internal: value without slot"))?;
                         base.field(s).ir()
                     }
@@ -512,22 +526,19 @@ fn build_view_record(
                 }
             }
             Slot::Str(name) => {
-                let astr = actual.str(name).ok_or_else(|| {
+                let member = layout.str(name).ok_or_else(|| {
                     ElabError::new(format!("coercion: missing structure `{name}`"))
                 })?;
-                let vstr = view.str(name).expect("view slot implies presence");
-                let s = str_slot(actual, name)
+                let astr = &actual.bindings.strs[member.pos as usize].1;
+                let vstr = &view.bindings.strs[pos].1;
+                let s = member
+                    .slot
                     .ok_or_else(|| ElabError::new("internal: structure without slot"))?;
                 if same_layout(&astr.bindings, &vstr.bindings) {
                     base.field(s).ir()
                 } else {
                     let inner = el.fresh_lvar();
-                    let body = build_view_record(
-                        el,
-                        &astr.bindings,
-                        &vstr.bindings,
-                        &Access::Local(inner),
-                    )?;
+                    let body = build_view_record(el, astr, vstr, &Access::Local(inner))?;
                     Ir::Let(
                         vec![IrDec::Val(
                             smlsc_dynamics::ir::IrPat::Var(inner),
@@ -538,7 +549,9 @@ fn build_view_record(
                 }
             }
             Slot::Fct(name) => {
-                let s = fct_slot(actual, name)
+                let s = layout
+                    .fct(name)
+                    .and_then(|m| m.slot)
                     .ok_or_else(|| ElabError::new(format!("coercion: missing functor `{name}`")))?;
                 base.field(s).ir()
             }
@@ -551,17 +564,14 @@ fn build_view_record(
 /// True when both binding sets induce identical runtime layouts (so no
 /// coercion record needs to be built).
 pub(crate) fn same_layout(a: &Bindings, b: &Bindings) -> bool {
-    let sa = runtime_slots(a);
-    let sb = runtime_slots(b);
-    if sa != sb {
-        return false;
-    }
-    sa.iter().all(|slot| match slot {
-        Slot::Str(name) => {
-            let x = a.str(*name).expect("slot implies presence");
-            let y = b.str(*name).expect("slot implies presence");
-            same_layout(&x.bindings, &y.bindings)
-        }
-        _ => true,
-    })
+    let mut sa = Vec::new();
+    visit_slots(a, |slot, pos| sa.push((slot, pos)));
+    let mut sb = Vec::new();
+    visit_slots(b, |slot, pos| sb.push((slot, pos)));
+    sa.len() == sb.len()
+        && sa.iter().zip(&sb).all(|((x, _), (y, _))| x == y)
+        && sa.iter().zip(&sb).all(|((slot, pa), (_, pb))| match slot {
+            Slot::Str(_) => same_layout(&a.strs[*pa].1.bindings, &b.strs[*pb].1.bindings),
+            _ => true,
+        })
 }

@@ -64,7 +64,7 @@ impl<'a> Elaborator<'a> {
         if let Some((sigexp, opaque)) = constraint {
             let sig = self.elab_sigexp(sigexp)?;
             let m = match_structure(&env, &sig, *opaque)?;
-            ir = coerce_ir(self, &env.bindings, &m.view.bindings, ir)?;
+            ir = coerce_ir(self, &env, &m.view, ir)?;
             env = m.view;
         }
         let lv = self.fresh_lvar();
@@ -106,7 +106,7 @@ impl<'a> Elaborator<'a> {
             self.frames.pop();
             let rs = rs?;
             let m = match_structure(&benv, &rs, *opaque)?;
-            bir = coerce_ir(self, &benv.bindings, &m.view.bindings, bir)?;
+            bir = coerce_ir(self, &benv, &m.view, bir)?;
             benv = m.view;
         }
         let gen_hi = StampGenerator::peek_raw();
@@ -170,7 +170,7 @@ impl<'a> Elaborator<'a> {
                 let (env, ir) = self.elab_strexp(str)?;
                 let s = self.elab_sigexp(sig)?;
                 let m = match_structure(&env, &s, *opaque)?;
-                let cir = coerce_ir(self, &env.bindings, &m.view.bindings, ir)?;
+                let cir = coerce_ir(self, &env, &m.view, ir)?;
                 Ok((m.view, cir))
             }
             StrExp::App(fname, arg) => {
@@ -182,7 +182,7 @@ impl<'a> Elaborator<'a> {
                         e.message
                     ))
                 })?;
-                let carg = coerce_ir(self, &aenv.bindings, &m.view.bindings, air)?;
+                let carg = coerce_ir(self, &aenv, &m.view, air)?;
                 // skolem[i] stands for param_sig.bound[i]; realize the body
                 // with the argument's actual tycons and fresh generative
                 // entities.

@@ -7,7 +7,8 @@
 //! is derived positionally from its bindings (see [`runtime_slots`]).
 
 use smlsc_ids::PidCell;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 use smlsc_dynamics::ir::ConTag;
 use smlsc_ids::{Stamp, Symbol};
@@ -134,6 +135,9 @@ pub struct StructureEnv {
     pub entity_pid: PidCell,
     /// The members.
     pub bindings: Bindings,
+    /// The index of `bindings`' runtime layout, built on first use.  A
+    /// structure is immutable once shared, so the memo never goes stale.
+    layout: OnceLock<Layout>,
 }
 
 impl StructureEnv {
@@ -143,7 +147,25 @@ impl StructureEnv {
             stamp,
             entity_pid: PidCell::new(None),
             bindings,
+            layout: OnceLock::new(),
         })
+    }
+
+    /// The runtime layout of the members, indexed by name (memoized).
+    pub fn layout(&self) -> &Layout {
+        self.layout.get_or_init(|| Layout::of(&self.bindings))
+    }
+
+    /// Looks up a value (last binding wins) through the layout index.
+    pub fn val(&self, name: Symbol) -> Option<&ValBind> {
+        let m = self.layout().val(name)?;
+        Some(&self.bindings.vals[m.pos as usize].1)
+    }
+
+    /// Looks up a substructure through the layout index.
+    pub fn str(&self, name: Symbol) -> Option<&Arc<StructureEnv>> {
+        let m = self.layout().str(name)?;
+        Some(&self.bindings.strs[m.pos as usize].1)
     }
 }
 
@@ -210,6 +232,53 @@ pub enum Slot {
     Fct(Symbol),
 }
 
+/// Marks, per position, whether it holds the last binding of its name:
+/// one reverse pass, so a structure of n members costs O(n), not one
+/// scan per member.
+fn last_of_name<T>(v: &[(Symbol, T)]) -> Vec<bool> {
+    let mut seen = HashSet::with_capacity(v.len());
+    let mut last = vec![false; v.len()];
+    for (i, (name, _)) in v.iter().enumerate().rev() {
+        last[i] = seen.insert(*name);
+    }
+    last
+}
+
+/// Visits the last binding of every value, structure and functor name
+/// of `b` in layout order, passing the name (as the slot it would take),
+/// its position in its namespace's vector, and whether it takes a slot.
+fn visit_last(b: &Bindings, mut f: impl FnMut(Slot, usize, bool)) {
+    for (i, ((name, vb), last)) in b.vals.iter().zip(last_of_name(&b.vals)).enumerate() {
+        if last {
+            f(
+                Slot::Val(*name),
+                i,
+                matches!(vb.kind, ValKind::Plain | ValKind::Exn),
+            );
+        }
+    }
+    for (i, ((name, _), last)) in b.strs.iter().zip(last_of_name(&b.strs)).enumerate() {
+        if last {
+            f(Slot::Str(*name), i, true);
+        }
+    }
+    for (i, ((name, _), last)) in b.fcts.iter().zip(last_of_name(&b.fcts)).enumerate() {
+        if last {
+            f(Slot::Fct(*name), i, true);
+        }
+    }
+}
+
+/// Visits the slots of `b` in layout order, passing each slot and the
+/// position of its binding in its namespace's vector.
+pub(crate) fn visit_slots(b: &Bindings, mut f: impl FnMut(Slot, usize)) {
+    visit_last(b, |slot, pos, slotted| {
+        if slotted {
+            f(slot, pos);
+        }
+    });
+}
+
 /// The runtime record layout of a structure with these bindings.
 ///
 /// Layout rule (shared by the elaborator, coercion generator and linker):
@@ -219,65 +288,128 @@ pub enum Slot {
 /// slot (earlier ones are shadowed and unreachable).
 pub fn runtime_slots(b: &Bindings) -> Vec<Slot> {
     let mut out = Vec::new();
-    for (i, (name, vb)) in b.vals.iter().enumerate() {
-        let last = b
-            .vals
-            .iter()
-            .rposition(|(n, _)| n == name)
-            .expect("name present");
-        if last != i {
-            continue; // shadowed
-        }
-        match vb.kind {
-            ValKind::Plain | ValKind::Exn => out.push(Slot::Val(*name)),
-            ValKind::Con { .. } | ValKind::Prim(_) => {}
-        }
-    }
-    for (i, (name, _)) in b.strs.iter().enumerate() {
-        let last = b
-            .strs
-            .iter()
-            .rposition(|(n, _)| n == name)
-            .expect("name present");
-        if last == i {
-            out.push(Slot::Str(*name));
-        }
-    }
-    for (i, (name, _)) in b.fcts.iter().enumerate() {
-        let last = b
-            .fcts
-            .iter()
-            .rposition(|(n, _)| n == name)
-            .expect("name present");
-        if last == i {
-            out.push(Slot::Fct(*name));
-        }
-    }
+    visit_slots(b, |slot, _| out.push(slot));
     out
 }
 
 /// The slot index of value `name` in the layout of `b`, if it has one.
+///
+/// O(size of `b`) per call; repeated lookups in one structure go through
+/// its memoized [`StructureEnv::layout`] (or one [`Layout::of`]).
 pub fn val_slot(b: &Bindings, name: Symbol) -> Option<u32> {
-    runtime_slots(b)
-        .iter()
-        .position(|s| *s == Slot::Val(name))
-        .map(|i| i as u32)
+    Layout::of(b).val(name).and_then(|m| m.slot)
 }
 
 /// The slot index of substructure `name`.
 pub fn str_slot(b: &Bindings, name: Symbol) -> Option<u32> {
-    runtime_slots(b)
-        .iter()
-        .position(|s| *s == Slot::Str(name))
-        .map(|i| i as u32)
+    Layout::of(b).str(name).and_then(|m| m.slot)
 }
 
 /// The slot index of functor `name`.
 pub fn fct_slot(b: &Bindings, name: Symbol) -> Option<u32> {
-    runtime_slots(b)
-        .iter()
-        .position(|s| *s == Slot::Fct(name))
-        .map(|i| i as u32)
+    Layout::of(b).fct(name).and_then(|m| m.slot)
+}
+
+/// Where the last binding of one name sits: its position in its
+/// namespace's vector of [`Bindings`], and its runtime slot, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Member {
+    /// Index into `vals`, `strs` or `fcts`.
+    pub pos: u32,
+    /// Record slot; `None` for constructors and primitives.
+    pub slot: Option<u32>,
+}
+
+/// One name's entry in a [`Layout`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    name: Symbol,
+    pos: u32,
+    /// Record slot, or [`NO_SLOT`].
+    slot: u32,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// The runtime layout of one [`Bindings`], indexed by name: for every
+/// value, substructure and functor name, its last binding and its slot
+/// (see [`runtime_slots`] for the layout rule).
+///
+/// Built in one pass plus a sort, then answered by binary search, so a
+/// structure of n members costs O(n log n) once instead of O(n²) per
+/// lookup.  Kept compact — 12 bytes per name, no hash table — because
+/// every elaborated or rehydrated structure may carry one
+/// ([`StructureEnv::layout`]).
+#[derive(Debug)]
+pub struct Layout {
+    /// Values, then structures, then functors; each run sorted by name.
+    entries: Box<[Entry]>,
+    /// End of the value run and of the structure run in `entries`.
+    ends: [u32; 2],
+}
+
+impl Layout {
+    /// Indexes the layout of `b`.
+    pub fn of(b: &Bindings) -> Layout {
+        let mut entries = Vec::with_capacity(b.vals.len() + b.strs.len() + b.fcts.len());
+        let mut ends = [0u32; 2];
+        let mut next = 0u32;
+        visit_last(b, |slot, pos, slotted| {
+            let name = match slot {
+                Slot::Val(name) => {
+                    ends[0] += 1;
+                    ends[1] += 1;
+                    name
+                }
+                Slot::Str(name) => {
+                    ends[1] += 1;
+                    name
+                }
+                Slot::Fct(name) => name,
+            };
+            entries.push(Entry {
+                name,
+                pos: pos as u32,
+                slot: if slotted { next } else { NO_SLOT },
+            });
+            next += u32::from(slotted);
+        });
+        let (vals, rest) = entries.split_at_mut(ends[0] as usize);
+        let (strs, fcts) = rest.split_at_mut((ends[1] - ends[0]) as usize);
+        for run in [vals, strs, fcts] {
+            run.sort_unstable_by_key(|e| e.name);
+        }
+        Layout {
+            entries: entries.into_boxed_slice(),
+            ends,
+        }
+    }
+
+    fn find(run: &[Entry], name: Symbol) -> Option<Member> {
+        let e = &run[run.binary_search_by_key(&name, |e| e.name).ok()?];
+        Some(Member {
+            pos: e.pos,
+            slot: (e.slot != NO_SLOT).then_some(e.slot),
+        })
+    }
+
+    /// The last value binding named `name`.
+    pub fn val(&self, name: Symbol) -> Option<Member> {
+        Layout::find(&self.entries[..self.ends[0] as usize], name)
+    }
+
+    /// The last substructure binding named `name`.
+    pub fn str(&self, name: Symbol) -> Option<Member> {
+        Layout::find(
+            &self.entries[self.ends[0] as usize..self.ends[1] as usize],
+            name,
+        )
+    }
+
+    /// The last functor binding named `name`.
+    pub fn fct(&self, name: Symbol) -> Option<Member> {
+        Layout::find(&self.entries[self.ends[1] as usize..], name)
+    }
 }
 
 // `Bindings` crosses build-worker threads in the IRM's parallel
@@ -296,7 +428,139 @@ fn assert_bindings_shareable() {
 mod tests {
     use super::*;
     use crate::types::{TyconDef, Type};
+    use proptest::prelude::*;
     use smlsc_ids::StampGenerator;
+
+    /// The original quadratic layout: one backwards scan per binding to
+    /// decide whether it is its name's last.  Kept as the oracle the
+    /// linear [`runtime_slots`] and [`Layout`] must agree with.
+    fn oracle_runtime_slots(b: &Bindings) -> Vec<Slot> {
+        let mut out = Vec::new();
+        for (i, (name, vb)) in b.vals.iter().enumerate() {
+            let last = b.vals.iter().rposition(|(n, _)| n == name).unwrap();
+            if last == i && matches!(vb.kind, ValKind::Plain | ValKind::Exn) {
+                out.push(Slot::Val(*name));
+            }
+        }
+        for (i, (name, _)) in b.strs.iter().enumerate() {
+            if b.strs.iter().rposition(|(n, _)| n == name).unwrap() == i {
+                out.push(Slot::Str(*name));
+            }
+        }
+        for (i, (name, _)) in b.fcts.iter().enumerate() {
+            if b.fcts.iter().rposition(|(n, _)| n == name).unwrap() == i {
+                out.push(Slot::Fct(*name));
+            }
+        }
+        out
+    }
+
+    /// The original slot lookup: rebuild the layout, scan it.
+    fn oracle_slot(b: &Bindings, want: Slot) -> Option<u32> {
+        oracle_runtime_slots(b)
+            .iter()
+            .position(|s| *s == want)
+            .map(|i| i as u32)
+    }
+
+    fn dummy_functor(g: &mut StampGenerator) -> Arc<FunctorEnv> {
+        let body = StructureEnv::new(g.fresh(), Bindings::new());
+        Arc::new(FunctorEnv {
+            stamp: g.fresh(),
+            entity_pid: PidCell::new(None),
+            param_name: Symbol::intern("P"),
+            param_sig: Arc::new(SignatureEnv {
+                stamp: g.fresh(),
+                entity_pid: PidCell::new(None),
+                bound: Vec::new(),
+                body: body.clone(),
+                lo: 0,
+                hi: 0,
+            }),
+            param_inst: body.clone(),
+            skolems: Vec::new(),
+            body,
+            gen_lo: 0,
+            gen_hi: 0,
+        })
+    }
+
+    /// Random bindings over a small name pool, so names shadow often;
+    /// value kinds cycle through Plain, Con, Exn and Prim.
+    fn arb_bindings() -> impl Strategy<Value = Bindings> {
+        (
+            proptest::collection::vec((0u8..8, 0u8..4), 0..40),
+            proptest::collection::vec(0u8..5, 0..8),
+            proptest::collection::vec(0u8..5, 0..8),
+        )
+            .prop_map(|(vals, strs, fcts)| {
+                let mut g = StampGenerator::new();
+                let tc = Tycon::new(g.fresh(), Symbol::intern("t"), 0, TyconDef::Abstract);
+                let mut b = Bindings::new();
+                for (n, kind) in vals {
+                    let vb = match kind {
+                        0 => plain_val(),
+                        1 => con_val(tc.clone()),
+                        2 => ValBind {
+                            scheme: Scheme::mono(Type::fresh(0)),
+                            kind: ValKind::Exn,
+                        },
+                        _ => ValBind {
+                            scheme: Scheme::mono(Type::fresh(0)),
+                            kind: ValKind::Prim(PrimOp::Add),
+                        },
+                    };
+                    b.vals.push((Symbol::intern(&format!("v{n}")), vb));
+                }
+                for n in strs {
+                    let s = StructureEnv::new(g.fresh(), Bindings::new());
+                    b.strs.push((Symbol::intern(&format!("S{n}")), s));
+                }
+                for n in fcts {
+                    b.fcts
+                        .push((Symbol::intern(&format!("F{n}")), dummy_functor(&mut g)));
+                }
+                b
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass layout equals the quadratic one.
+        #[test]
+        fn runtime_slots_match_the_quadratic_oracle(b in arb_bindings()) {
+            prop_assert_eq!(runtime_slots(&b), oracle_runtime_slots(&b));
+        }
+
+        /// Every name's indexed slot and binding equal the oracle's, in
+        /// every namespace, for bound and unbound names alike.
+        #[test]
+        fn layout_index_matches_the_quadratic_oracle(b in arb_bindings()) {
+            let layout = Layout::of(&b);
+            let env = StructureEnv::new(StampGenerator::new().fresh(), b.clone());
+            for n in 0..9 {
+                let v = Symbol::intern(&format!("v{n}"));
+                prop_assert_eq!(layout.val(v).and_then(|m| m.slot), oracle_slot(&b, Slot::Val(v)));
+                prop_assert_eq!(val_slot(&b, v), oracle_slot(&b, Slot::Val(v)));
+                prop_assert_eq!(env.layout().val(v).and_then(|m| m.slot), oracle_slot(&b, Slot::Val(v)));
+                let want = env.bindings.val(v).map(|vb| vb as *const ValBind);
+                prop_assert_eq!(env.val(v).map(|vb| vb as *const ValBind), want);
+                let s = Symbol::intern(&format!("S{n}"));
+                prop_assert_eq!(str_slot(&b, s), oracle_slot(&b, Slot::Str(s)));
+                prop_assert_eq!(
+                    env.str(s).map(|x| x.stamp),
+                    b.str(s).map(|x| x.stamp)
+                );
+                let f = Symbol::intern(&format!("F{n}"));
+                prop_assert_eq!(fct_slot(&b, f), oracle_slot(&b, Slot::Fct(f)));
+                prop_assert_eq!(
+                    env.layout().fct(f).map(|m| env.bindings.fcts[m.pos as usize].1.stamp),
+                    b.fct(f).map(|x| x.stamp)
+                );
+            }
+        }
+    }
 
     fn plain_val() -> ValBind {
         ValBind {

@@ -238,7 +238,9 @@ mod tests {
             std::thread::scope(|s| {
                 let released_a = released.clone();
                 let path_a = path.clone();
+                let plan = faults::fork_current();
                 s.spawn(move || {
+                    let _faults = plan.map(faults::ForkedFaults::install);
                     // Holds the lock through the injected 40ms stall.
                     let g =
                         acquire(&path_a, Duration::from_secs(10), Duration::from_secs(5)).unwrap();

@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 use smlsc_ids::{Digest128, Pid, Symbol};
 
 use crate::ast::*;
+use crate::lexer::{SpannedTok, Tok};
 
 /// Digests the token stream of `src`, ignoring whitespace, comments, and
 /// token positions: two sources that lex to the same tokens get the same
@@ -25,7 +26,7 @@ use crate::ast::*;
 /// from the token stream, so an equal token pid guarantees an equal
 /// analysis.  Returns `None` when the source does not lex; such a unit
 /// must be re-analyzed the slow way (and will fail there with a proper
-/// diagnostic).
+/// diagnostic).  See [`digest_tokens`] for the byte format.
 ///
 /// # Examples
 ///
@@ -38,17 +39,104 @@ use crate::ast::*;
 /// assert_eq!(a, b);
 /// ```
 pub fn token_pid(src: &str) -> Option<Pid> {
-    let toks = crate::lexer::lex(src).ok()?;
+    Some(digest_tokens(&crate::lexer::lex(src).ok()?))
+}
+
+/// Digests an already-lexed token stream; [`token_pid`] of the source it
+/// came from.
+///
+/// Each token contributes one tag byte from the explicit table of
+/// `token_tag` (never `mem::discriminant`, which no compiler promises
+/// to keep stable), then its payload: identifiers, type variables and
+/// string literals as a length-prefixed UTF-8 string, integers as a
+/// little-endian `i64`.  Locations are excluded, so comment edits that
+/// shift positions keep the pid.  The tag keeps `Int 1` apart from
+/// `Ident "1"`, the length prefix keeps `"ab" "c"` apart from `"a" "bc"`,
+/// and the token count closes the stream.
+pub fn digest_tokens(toks: &[SpannedTok]) -> Pid {
     let mut d = Digest128::new();
-    for t in &toks {
-        // Loc is deliberately excluded: comment edits shift positions
-        // without changing meaning.  Debug on Tok spells out the variant
-        // and payload, and the length prefix keeps adjacent tokens from
-        // colliding by concatenation.
-        d.write_str(&format!("{:?}", t.tok));
+    for t in toks {
+        d.write_tag(token_tag(&t.tok));
+        match &t.tok {
+            Tok::Ident(s) | Tok::TyVar(s) => d.write_str(s.as_str()),
+            Tok::Str(s) => d.write_str(s),
+            Tok::Int(n) => d.write_u64(*n as u64),
+            _ => {}
+        }
     }
     d.write_u64(toks.len() as u64);
-    Some(d.finish_pid())
+    d.finish_pid()
+}
+
+/// The digest tag of each token kind.  Part of the token-pid format:
+/// changing a value changes every persisted deps pid, so it needs a bump
+/// of the stamp-file version that stores them.
+fn token_tag(tok: &Tok) -> u8 {
+    match tok {
+        Tok::Eof => 0,
+        Tok::Ident(_) => 1,
+        Tok::TyVar(_) => 2,
+        Tok::Int(_) => 3,
+        Tok::Str(_) => 4,
+        Tok::And => 10,
+        Tok::As => 11,
+        Tok::Andalso => 12,
+        Tok::Case => 13,
+        Tok::Datatype => 14,
+        Tok::Div => 15,
+        Tok::Else => 16,
+        Tok::End => 17,
+        Tok::Exception => 18,
+        Tok::Fn => 19,
+        Tok::Fun => 20,
+        Tok::Functor => 21,
+        Tok::Handle => 22,
+        Tok::If => 23,
+        Tok::In => 24,
+        Tok::Include => 25,
+        Tok::Let => 26,
+        Tok::Local => 27,
+        Tok::Mod => 28,
+        Tok::Of => 29,
+        Tok::Open => 30,
+        Tok::Orelse => 31,
+        Tok::Raise => 32,
+        Tok::Sig => 33,
+        Tok::Signature => 34,
+        Tok::Struct => 35,
+        Tok::Structure => 36,
+        Tok::Then => 37,
+        Tok::Type => 38,
+        Tok::Val => 39,
+        Tok::Where => 40,
+        Tok::LParen => 60,
+        Tok::RParen => 61,
+        Tok::LBracket => 62,
+        Tok::RBracket => 63,
+        Tok::Comma => 64,
+        Tok::Semi => 65,
+        Tok::Dot => 66,
+        Tok::Colon => 67,
+        Tok::ColonGt => 68,
+        Tok::Eq => 69,
+        Tok::FatArrow => 70,
+        Tok::Arrow => 71,
+        Tok::Bar => 72,
+        Tok::Star => 73,
+        Tok::Plus => 74,
+        Tok::Minus => 75,
+        Tok::Slash => 76,
+        Tok::Caret => 77,
+        Tok::Lt => 78,
+        Tok::Le => 79,
+        Tok::Gt => 80,
+        Tok::Ge => 81,
+        Tok::Neq => 82,
+        Tok::Cons => 83,
+        Tok::At => 84,
+        Tok::Tilde => 85,
+        Tok::Underscore => 86,
+    }
 }
 
 /// Returns the free module-level names of `unit`, sorted by name.
@@ -566,6 +654,76 @@ mod tests {
         assert_ne!(
             token_pid("structure Ab = C").unwrap(),
             token_pid("structure A = Bc").unwrap()
+        );
+    }
+
+    /// Pins the token-pid format: a change here silently invalidates
+    /// every persisted deps pid, so it must come with a stamp-version bump.
+    #[test]
+    fn token_pid_golden_value() {
+        let src = "structure A : S = struct val x = ~12 val s = \"hi\" fun f 'a = A.x :: [] end";
+        let got = token_pid(src).unwrap();
+        assert_eq!(format!("{got:032x}"), "2d8d34ae06d5a55decdb93a7b4646130");
+
+        // The byte stream, spelled out: tag, payload, ..., token count.
+        let mut bytes = vec![39u8]; // val
+        bytes.push(1); // identifier "x"
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.push(b'x');
+        bytes.push(69); // =
+        bytes.push(3); // integer ~12
+        bytes.extend_from_slice(&(-12i64).to_le_bytes());
+        bytes.push(0); // end of input
+        bytes.extend_from_slice(&5u64.to_le_bytes());
+        let mut d = Digest128::new();
+        d.write_bytes(&bytes);
+        assert_eq!(token_pid("val x = ~12"), Some(d.finish_pid()));
+    }
+
+    #[test]
+    fn token_pid_ignores_nested_comments_and_tabs() {
+        let a = token_pid("structure A = struct fun f x = x + 1 end").unwrap();
+        let b = token_pid("structure\tA (* a (* nested *) c *) =\r\n struct fun f x =\n\n x+1 end")
+            .unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn token_tags_are_distinct() {
+        let every_kind = "and as andalso case datatype div else end exception fn fun functor \
+            handle if in include let local mod of open orelse raise sig signature struct \
+            structure then type val where ( ) [ ] , ; . : :> = => -> | * + - / ^ < <= > >= \
+            <> :: @ ~ _ x 'a 1 \"s\"";
+        let toks = crate::lexer::lex(every_kind).unwrap();
+        let tags: BTreeSet<u8> = toks.iter().map(|t| token_tag(&t.tok)).collect();
+        assert_eq!(tags.len(), toks.len(), "one tag per token kind");
+    }
+
+    #[test]
+    fn token_digest_separates_kinds_and_string_splits() {
+        let spanned = |toks: Vec<Tok>| -> Vec<SpannedTok> {
+            toks.into_iter()
+                .map(|tok| SpannedTok {
+                    tok,
+                    loc: crate::Loc::default(),
+                })
+                .collect()
+        };
+        assert_ne!(
+            digest_tokens(&spanned(vec![Tok::Int(1)])),
+            digest_tokens(&spanned(vec![Tok::Ident(Symbol::intern("1"))]))
+        );
+        assert_ne!(
+            digest_tokens(&spanned(vec![Tok::Ident(Symbol::intern("a"))])),
+            digest_tokens(&spanned(vec![Tok::TyVar(Symbol::intern("a"))]))
+        );
+        assert_ne!(
+            token_pid("val s = \"ab\" \"c\"").unwrap(),
+            token_pid("val s = \"a\" \"bc\"").unwrap()
+        );
+        assert_ne!(
+            token_pid("val n = 1").unwrap(),
+            token_pid("val n = ~1").unwrap()
         );
     }
 

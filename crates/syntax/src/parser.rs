@@ -61,7 +61,17 @@ type StructureBinding = (Symbol, Option<(SigExp, bool)>, StrExp);
 /// assert_eq!(unit.decs.len(), 1);
 /// ```
 pub fn parse_unit(src: &str) -> Result<UnitAst, ParseError> {
-    let toks = lex(src)?;
+    parse_tokens(lex(src)?)
+}
+
+/// Parses an already-lexed unit: the output of [`lex`], ending in
+/// [`Tok::Eof`].  Lets a caller that also digests the tokens
+/// ([`crate::deps::digest_tokens`]) lex the source only once.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] on a syntax error.
+pub fn parse_tokens(toks: Vec<SpannedTok>) -> Result<UnitAst, ParseError> {
     let mut p = Parser { toks, pos: 0 };
     let mut decs = Vec::new();
     loop {

@@ -46,11 +46,12 @@ fn export_pids(irm: &Irm) -> Vec<(String, Pid)> {
     pids
 }
 
-/// Holds the process-wide fault gate, with an empty plan, for the rest of
-/// the test.  Fault plans are process-global, so without it a save of a
-/// unit named `mid` here could fire the `bin.save=torn(mid)` rule of
-/// `torn_archive_body_quarantines_only_the_affected_unit` whenever the
-/// two tests run concurrently.
+/// Scopes an empty fault plan to this test's thread for the rest of the
+/// test, hiding any process-wide plan.  Scoped plans stay on their own
+/// thread, so a save of a unit named `mid` here cannot fire the
+/// `bin.save=torn(mid)` rule of
+/// `torn_archive_body_quarantines_only_the_affected_unit`; the guard
+/// stays as a second line of defence.
 fn no_foreign_faults() -> smlsc_faults::ScopedFaults {
     install_scoped(FaultPlan::default())
 }
